@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <utility>
 
 #include "place/blockdag.h"
@@ -72,20 +73,6 @@ void annotateResourceFailure(ServiceError* err, const ir::IrProgram& prog,
                        " demand]";
 }
 
-// Physical devices carrying at least one instruction of the plan.
-std::set<int> planDevices(const place::PlacementPlan& plan) {
-  std::set<int> devs;
-  for (const auto& a : plan.assignments) {
-    for (const auto& [dev, p] : a.on_device) {
-      if (!p.instr_idxs.empty()) devs.insert(dev);
-    }
-    for (const auto& [dev, p] : a.on_bypass) {
-      if (!p.instr_idxs.empty()) devs.insert(dev);
-    }
-  }
-  return devs;
-}
-
 // Structural sanity of a decoded (journal / checkpoint) plan against its
 // decoded program before any index is dereferenced. Journal framing only
 // proves the bytes match their CRC — a corrupted-but-CRC-consistent
@@ -154,36 +141,47 @@ bool sameAssignment(const place::NodeAssignment& a,
          samePlacementMap(a.on_bypass, b.on_bypass);
 }
 
-std::set<int> assignmentDevices(const place::NodeAssignment& a) {
-  std::set<int> devs;
-  for (const auto& [dev, p] : a.on_device) {
-    if (!p.instr_idxs.empty()) devs.insert(dev);
-  }
-  for (const auto& [dev, p] : a.on_bypass) {
-    if (!p.instr_idxs.empty()) devs.insert(dev);
-  }
-  return devs;
-}
-
 }  // namespace
+
+// The block DAG and EC tree a placement runs on. A compile builds both;
+// a commit-stage re-place keeps whichever is still valid (the DAG unless
+// the program was re-lowered, the tree unless health moved).
+struct ClickIncService::PlaceInputs {
+  std::optional<place::BlockDag> dag;  // points into the placed program
+  std::optional<topo::EcTree> tree;
+};
+
+// What a compile stage captures under the lock: the pinned pool (a
+// setConcurrency swap cannot destroy it mid-compile), the request's
+// placement domain with its version, adaptive-ratio scope and IntraMemo
+// shard (kCrossDomain / global version / nullptr / the global memo when
+// sharding is off or the traffic crosses pods), the user id the frontend
+// names the program after, and the service epoch.
+struct ClickIncService::CompileScope {
+  std::shared_ptr<util::ThreadPool> pool;
+  int domain = scale::kCrossDomain;
+  std::uint64_t version = 0;
+  const std::vector<int>* ratio = nullptr;
+  std::shared_ptr<place::IntraMemo> memo;
+  int user = 1;
+  std::uint64_t epoch = 0;
+};
 
 // Output of the compile stage: everything the commit stage needs to
 // validate and deploy without recomputing, or a structured compile error.
 // The block DAG holds a pointer into *prog, so the program is heap-pinned.
 struct ClickIncService::Speculative {
   std::shared_ptr<ir::IrProgram> prog;
-  place::BlockDag dag;
-  topo::EcTree tree;
+  PlaceInputs in;
   place::PlacementPlan plan;
   ServiceError error;  // frontend failure; placement failures live in plan
   int guessed_user = -1;
-  // Placement domain the snapshot was scoped to (scale::kCrossDomain on
-  // the escape path / sharding off); snapshot_version is that domain's
-  // version, so commit validates against the matching counter.
+  // Placement domain the compile was scoped to; snapshot_version is that
+  // domain's version, so commit validates against the matching counter.
   int domain = scale::kCrossDomain;
   std::uint64_t snapshot_version = 0;
   std::uint64_t health_version = 0;  // topology health the tree was built on
-  std::uint64_t epoch = 0;           // service epoch the snapshot was taken in
+  std::uint64_t epoch = 0;           // service epoch the compile ran in
   double compile_ms = 0;
 };
 
@@ -313,39 +311,13 @@ RetryPolicy ClickIncService::effectivePolicy(const SubmitRequest& req) {
 }
 
 SubmitResult ClickIncService::submit(SubmitRequest req) {
-  const RetryPolicy policy = effectivePolicy(req);
-  const int max_attempts = std::max(1, policy.max_attempts);
-  if (max_attempts == 1) {
-    std::lock_guard<std::mutex> lock(mu_);
-    return submitLocked(req);
-  }
-  // Retry loop: each attempt works on a fresh copy of the request (a
-  // kProgram payload is moved out by the frontend compile, so the
-  // original must survive for the next attempt). The lock is dropped
-  // between attempts — a concurrent remove()/failover can free the
-  // resources the retry needs. Backoff is charged deterministically to
-  // the result; no wall-clock sleeps.
-  double backoff = 0;
-  for (int attempt = 1;; ++attempt) {
-    SubmitRequest attempt_req = req;
-    SubmitResult result;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      result = submitLocked(attempt_req);
-    }
-    result.attempts = attempt;
-    result.backoff_ms = backoff;
-    if (result.ok || !result.error.retryable || attempt >= max_attempts) {
-      return result;
-    }
-    backoff += policy.delayMs(attempt + 1);
-  }
+  return submitWithRetry(std::move(req), /*staged=*/false);
 }
 
 SubmissionTicket ClickIncService::submitAsync(SubmitRequest req) {
   auto task = std::make_shared<std::packaged_task<SubmitResult()>>(
       [this, r = std::move(req)]() mutable {
-        return submitStaged(std::move(r));
+        return submitWithRetry(std::move(r), /*staged=*/true);
       });
   SubmissionTicket ticket(task->get_future().share());
   auto done = std::make_shared<std::atomic<bool>>(false);
@@ -384,59 +356,37 @@ std::vector<SubmitResult> ClickIncService::submitAll(
     std::vector<SubmitRequest> requests) {
   std::vector<SubmitResult> out;
   out.reserve(requests.size());
+  // Batch semantics: no per-request retry (results must stay bit-identical
+  // to sequential submits, and the parallel path commits exactly once).
+  std::unique_lock<std::mutex> lock(mu_);
+  const std::shared_ptr<util::ThreadPool> pool = pool_;  // pinned
+  if (pool == nullptr || pool->threadCount() <= 1 || requests.size() <= 1) {
+    lock.unlock();
+    for (auto& req : requests) out.push_back(submitOnce(req, false));
+    return out;
+  }
 
   // Stage 1: speculative compiles, all against one occupancy snapshot.
   // User ids are guessed assuming every earlier request succeeds; the
   // commit stage corrects the rare miss (an earlier in-batch failure).
-  // The pool is pinned (shared_ptr copy) for the whole batch so a
-  // concurrent setConcurrency cannot destroy it mid-compile.
-  place::OccupancyMap snapshot(&topo_);
-  topo::HealthView health;
-  int base_user = 1;
-  std::uint64_t epoch = 0;
-  std::shared_ptr<util::ThreadPool> pool;
-  // Per-request domain resolution (all kCrossDomain when sharding is
-  // off): single-pod requests validate against their pod's version, so
-  // commits into other pods never invalidate them.
-  std::vector<int> domains(requests.size(), scale::kCrossDomain);
-  std::vector<std::uint64_t> versions(requests.size(), 0);
-  std::vector<const std::vector<int>*> ratios(requests.size(), nullptr);
-  std::vector<std::shared_ptr<place::IntraMemo>> memos(requests.size());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pool = pool_;
-    snapshot = occ_;
-    health = topo_.healthView();
-    for (std::size_t i = 0; i < requests.size(); ++i) {
-      domains[i] = requestDomainLocked(requests[i].traffic);
-      versions[i] = domainVersionLocked(domains[i]);
-      ratios[i] = domainDevicesOrNull(domains[i]);
-      memos[i] = domainMemoLocked(domains[i]);
-    }
-    base_user = next_user_;
-    epoch = epoch_;
+  const place::OccupancyMap snapshot = occ_;
+  const topo::HealthView health = topo_.healthView();
+  std::vector<CompileScope> scopes;
+  scopes.reserve(requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    scopes.push_back(compileScopeLocked(requests[i].traffic,
+                                        next_user_ + static_cast<int>(i)));
   }
-  if (pool == nullptr || pool->threadCount() <= 1 || requests.size() <= 1) {
-    // Batch semantics: no per-request retry (results must stay
-    // bit-identical to the parallel path, which commits exactly once).
-    for (auto& req : requests) {
-      std::lock_guard<std::mutex> lock(mu_);
-      out.push_back(submitLocked(req));
-    }
-    return out;
-  }
+  lock.unlock();
   std::vector<Speculative> specs(requests.size());
   pool->parallelFor(requests.size(), [&](std::size_t i) {
-    specs[i] = compileSpeculative(requests[i],
-                                  base_user + static_cast<int>(i), snapshot,
-                                  versions[i], health, pool.get(),
-                                  domains[i], ratios[i], memos[i]);
-    specs[i].epoch = epoch;
+    specs[i] =
+        compileSpeculative(requests[i], scopes[i], snapshot, &health, nullptr);
   });
 
   // Stage 2: serialized commits in request order — deterministic user
   // ids, occupancy evolution, and deployment order.
-  std::lock_guard<std::mutex> lock(mu_);
+  lock.lock();
   for (std::size_t i = 0; i < requests.size(); ++i) {
     out.push_back(commitSpeculative(std::move(specs[i]), requests[i]));
   }
@@ -450,8 +400,9 @@ RemoveResult ClickIncService::remove(int user_id, bool lazy) {
   if (it == deployed_.end()) {
     // The id may belong to a staged submission still in its compile
     // stage (user ids are assigned at commit, in order). Record the
-    // removal as a cancellation: the submission observes it at commit
-    // and fails with kUnknownUser instead of deploying a removed tenant.
+    // removal as a cancellation: the first submission to reach commit
+    // under that id fails with kUnknownUser instead of deploying a
+    // removed tenant.
     if (user_id >= next_user_ && inflight_staged_ > 0) {
       cancelled_users_.insert(user_id);
       out.ok = true;
@@ -477,167 +428,108 @@ void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
                                      int user_id, bool lazy,
                                      RemoveResult* outp) {
   RemoveResult& out = *outp;
-  for (const auto& a : it->second.plan.assignments) {
-    auto touch = [&](int device) {
-      const auto stats = deviceProgram(device).removeUser(user_id, lazy);
-      out.impact.affected_devices.insert(device);
-      for (int u : stats.other_users_affected) {
-        out.impact.affected_users.insert(u);
-      }
-      // Even lazy removal affects co-resident programs when the strip is
-      // later enforced; report active co-residents for Table 6 parity.
-      for (int u : deviceProgram(device).activeUsers()) {
-        if (u != user_id) out.impact.affected_users.insert(u);
-      }
-      emu_.undeploy(device, user_id);
-    };
-    for (const auto& [dev, p] : a.on_device) {
-      if (!p.instr_idxs.empty()) touch(dev);
+  const Deployed& dep = it->second;
+  for (int device : place::claimedDevices(dep.plan)) {
+    const auto stats = deviceProgram(device).removeUser(user_id, lazy);
+    out.impact.affected_devices.insert(device);
+    for (int u : stats.other_users_affected) {
+      out.impact.affected_users.insert(u);
     }
-    for (const auto& [dev, p] : a.on_bypass) {
-      if (!p.instr_idxs.empty()) touch(dev);
+    // Even lazy removal affects co-resident programs when the strip is
+    // later enforced; report active co-residents for Table 6 parity.
+    for (int u : deviceProgram(device).activeUsers()) {
+      if (u != user_id) out.impact.affected_users.insert(u);
     }
+    emu_.undeploy(device, user_id);
   }
   out.impact.affected_pods = podsCrossing(out.impact.affected_devices);
   // Resources are recorded as released immediately (§6), even when the
   // data-plane strip is deferred (lazy enforcement).
-  const auto& prog = *it->second.prog;
-  for (const auto& a : it->second.plan.assignments) {
-    for (const auto& [dev, p] : a.on_device) {
-      if (!p.instr_idxs.empty()) {
-        place::releasePlacement(occ_.of(dev), prog, p);
-      }
-    }
-    for (const auto& [dev, p] : a.on_bypass) {
-      if (!p.instr_idxs.empty()) {
-        place::releasePlacement(occ_.of(dev), prog, p);
-      }
-    }
-  }
-  touchDevicesLocked(planDevices(it->second.plan));
+  place::releasePlan(dep.plan, *dep.prog, occ_);
+  touchDevicesLocked(out.impact.affected_devices);
   deployed_.erase(it);
   out.ok = true;
 }
 
-// --- legacy shims -------------------------------------------------------
-
-SubmitResult ClickIncService::submitTemplate(
-    const std::string& tmpl,
-    const std::map<std::string, std::uint64_t>& params,
-    const topo::TrafficSpec& traffic, const place::PlacementOptions& opts) {
-  return submit(SubmitRequest::fromTemplate(tmpl, params, traffic, opts));
-}
-
-SubmitResult ClickIncService::submitSource(
-    const std::string& source, const lang::HeaderSpec& hdr,
-    const std::map<std::string, std::uint64_t>& constants,
-    const topo::TrafficSpec& traffic, const place::PlacementOptions& opts) {
-  return submit(
-      SubmitRequest::fromSource(source, hdr, constants, traffic, opts));
-}
-
-SubmitResult ClickIncService::submitProgram(
-    ir::IrProgram prog, const topo::TrafficSpec& traffic,
-    const place::PlacementOptions& opts) {
-  return submit(SubmitRequest::fromProgram(std::move(prog), traffic, opts));
-}
-
 // --- pipeline stages ----------------------------------------------------
 
-// Sync path: with the lock held for the whole submission, live occupancy
-// IS the snapshot, so the speculative plan is the committed plan and no
-// recompile can happen. This is also the reference semantics submitAll
-// must reproduce bit-identically.
-SubmitResult ClickIncService::submitLocked(SubmitRequest& req) {
-  const auto t0 = std::chrono::steady_clock::now();
-  SubmitResult result;
-  result.user_id = next_user_;
+place::PlacementPlan ClickIncService::placeTenant(
+    const ir::IrProgram& prog, const topo::TrafficSpec& traffic,
+    const topo::HealthView* health, const place::OccupancyMap& occ,
+    place::PlacementOptions opts, util::ThreadPool* pool,
+    const std::vector<int>* ratio, place::PlacementArena* arena,
+    PlaceInputs* in) const {
+  PlaceInputs local;
+  if (in == nullptr) in = &local;
+  if (!in->dag) in->dag = place::BlockDag::build(prog);
+  // buildEcTree throws PlacementError for structurally hopeless traffic
+  // (unreachable destination, no device on any path).
+  if (!in->tree) in->tree = topo::buildEcTree(topo_, traffic, health);
+  if (opts.pool == nullptr) opts.pool = pool;
+  // Domain sharding scopes the adaptive ratio to the request's pod on
+  // every path, so sharded submitAll stays bit-identical to sequential
+  // submits.
+  if (opts.ratio_devices == nullptr) opts.ratio_devices = ratio;
+  return place::placeProgram(*in->dag, *in->tree, topo_, occ, opts, arena);
+}
 
-  std::shared_ptr<ir::IrProgram> prog;
-  try {
-    prog = std::make_shared<ir::IrProgram>(compileFrontend(req, next_user_));
-  } catch (...) {
-    result.error = errorFromCurrentException(Stage::kCompile);
-    result.compile_ms = msSince(t0);
-    return result;
-  }
+place::PlacementPlan ClickIncService::placeLocked(
+    const ir::IrProgram& prog, const topo::TrafficSpec& traffic,
+    const topo::HealthView* health, const place::OccupancyMap& occ,
+    const place::PlacementOptions& opts, PlaceInputs* in) {
+  return placeTenant(prog, traffic, health, occ, opts, pool_.get(),
+                     domainDevicesOrNull(requestDomainLocked(traffic)),
+                     &arena_, in);
+}
 
-  try {
-    const auto dag = place::BlockDag::build(*prog);
-    const auto tree = topo::buildEcTree(topo_, req.traffic);
-    place::PlacementOptions run_opts = req.options;
-    if (run_opts.pool == nullptr) run_opts.pool = pool_.get();
-    // Domain sharding scopes the adaptive ratio to the request's pod on
-    // the sequential path too, so sharded submitAll stays bit-identical
-    // to sequential submits.
-    if (run_opts.ratio_devices == nullptr) {
-      run_opts.ratio_devices =
-          domainDevicesOrNull(requestDomainLocked(req.traffic));
-    }
-    result.plan =
-        place::placeProgram(dag, tree, topo_, occ_, run_opts, &arena_);
-  } catch (...) {
-    // buildEcTree throws PlacementError for structurally hopeless traffic
-    // (unreachable destination, no device on any path).
-    result.error = errorFromCurrentException(Stage::kCompile);
-    result.compile_ms = msSince(t0);
-    return result;
-  }
-  cumulative_stats_.add(result.plan.stats);
-  if (!result.plan.feasible &&
-      !reactiveCompactionLocked(&result, *prog, req.traffic, req.options)) {
-    result.error = placementFailure(result.plan, Stage::kCompile);
-    annotateResourceFailure(&result.error, *prog, occ_, topo_);
-    result.compile_ms = msSince(t0);
-    return result;
-  }
-
-  commitAndDeployLocked(&result, prog, req.traffic, req.options);
-  result.compile_ms = msSince(t0);
-  return result;
+ClickIncService::CompileScope ClickIncService::compileScopeLocked(
+    const topo::TrafficSpec& traffic, int user) {
+  CompileScope scope;
+  scope.pool = pool_;
+  scope.domain = requestDomainLocked(traffic);
+  scope.version = domainVersionLocked(scope.domain);
+  scope.ratio = domainDevicesOrNull(scope.domain);
+  scope.memo = domainMemoLocked(scope.domain);
+  scope.user = user;
+  scope.epoch = epoch_;
+  return scope;
 }
 
 ClickIncService::Speculative ClickIncService::compileSpeculative(
-    SubmitRequest& req, int guessed_user,
-    const place::OccupancyMap& snapshot, std::uint64_t snapshot_version,
-    const topo::HealthView& health, util::ThreadPool* pool, int domain,
-    const std::vector<int>* ratio_devices,
-    std::shared_ptr<place::IntraMemo> memo) {
+    SubmitRequest& req, const CompileScope& scope,
+    const place::OccupancyMap& occ, const topo::HealthView* health,
+    place::PlacementArena* arena) {
   const auto t0 = std::chrono::steady_clock::now();
   Speculative spec;
-  spec.guessed_user = guessed_user;
-  spec.domain = domain;
-  spec.snapshot_version = snapshot_version;
-  spec.health_version = health.version;
+  spec.guessed_user = scope.user;
+  spec.domain = scope.domain;
+  spec.snapshot_version = scope.version;
+  spec.health_version =
+      health != nullptr ? health->version : topo_.healthVersion();
+  spec.epoch = scope.epoch;
   try {
     spec.prog =
-        std::make_shared<ir::IrProgram>(compileFrontend(req, guessed_user));
+        std::make_shared<ir::IrProgram>(compileFrontend(req, scope.user));
   } catch (...) {
     spec.error = errorFromCurrentException(Stage::kCompile);
     spec.compile_ms = msSince(t0);
     return spec;
   }
   try {
-    spec.dag = place::BlockDag::build(*spec.prog);
-    // The health snapshot (not live health) keeps this stage race-free
-    // against concurrent failNode()/healNode(); a stale view is caught at
-    // commit time and re-placed.
-    spec.tree = topo::buildEcTree(topo_, req.traffic, &health);
-
     // Private scratch over the shared memo: the DP tables are not
     // shareable between concurrent placements, but the intra-placement
     // memo is thread-safe, so concurrent tenants compiling identical
     // segments against the same snapshot pay for one placeCompact
     // between them. With domain sharding the memo is the request's
     // pod-sharded one, so disjoint pods never contend on its shards.
-    place::PlacementArena arena(std::move(memo));
-    place::PlacementOptions run_opts = req.options;
-    if (run_opts.pool == nullptr) run_opts.pool = pool;
-    if (run_opts.ratio_devices == nullptr) {
-      run_opts.ratio_devices = ratio_devices;
-    }
-    spec.plan = place::placeProgram(spec.dag, spec.tree, topo_, snapshot,
-                                    run_opts, &arena);
+    std::optional<place::PlacementArena> own;
+    if (arena == nullptr) arena = &own.emplace(scope.memo);
+    // A health snapshot (not live health) keeps an unlocked compile
+    // race-free against concurrent failNode()/healNode(); a stale view is
+    // caught at commit time and re-placed.
+    spec.plan = placeTenant(*spec.prog, req.traffic, health, occ,
+                            req.options, scope.pool.get(), scope.ratio,
+                            arena, &spec.in);
   } catch (...) {
     spec.error = errorFromCurrentException(Stage::kCompile);
   }
@@ -645,14 +537,21 @@ ClickIncService::Speculative ClickIncService::compileSpeculative(
   return spec;
 }
 
-SubmitResult ClickIncService::submitStaged(SubmitRequest req) {
+SubmitResult ClickIncService::submitWithRetry(SubmitRequest req,
+                                              bool staged) {
   const RetryPolicy policy = effectivePolicy(req);
   const int max_attempts = std::max(1, policy.max_attempts);
-  if (max_attempts == 1) return submitStagedOnce(req);
+  if (max_attempts == 1) return submitOnce(req, staged);
+  // Retry loop: each attempt works on a fresh copy of the request (a
+  // kProgram payload is moved out by the frontend compile, so the
+  // original must survive for the next attempt). The lock is dropped
+  // between attempts — a concurrent remove()/failover can free the
+  // resources the retry needs. Backoff is charged deterministically to
+  // the result; no wall-clock sleeps.
   double backoff = 0;
   for (int attempt = 1;; ++attempt) {
-    SubmitRequest attempt_req = req;  // kProgram payloads survive retries
-    SubmitResult result = submitStagedOnce(attempt_req);
+    SubmitRequest attempt_req = req;
+    SubmitResult result = submitOnce(attempt_req, staged);
     result.attempts = attempt;
     result.backoff_ms = backoff;
     if (result.ok || !result.error.retryable || attempt >= max_attempts) {
@@ -662,44 +561,30 @@ SubmitResult ClickIncService::submitStaged(SubmitRequest req) {
   }
 }
 
-SubmitResult ClickIncService::submitStagedOnce(SubmitRequest& req) {
-  place::OccupancyMap snapshot(&topo_);
-  topo::HealthView health;
-  std::uint64_t version = 0;
-  int guessed = 1;
-  std::uint64_t epoch = 0;
-  int domain = scale::kCrossDomain;
-  const std::vector<int>* ratio = nullptr;
-  std::shared_ptr<place::IntraMemo> memo;
-  std::shared_ptr<util::ThreadPool> pool;
-  std::function<void()> gate;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pool = pool_;
-    domain = requestDomainLocked(req.traffic);
-    ratio = domainDevicesOrNull(domain);
-    memo = domainMemoLocked(domain);
-    if (domain == scale::kCrossDomain) {
-      snapshot = occ_;  // escape path: the full ledger
-    } else {
-      // Sparse pod-only snapshot: a single-pod placement never reads
-      // beyond its domain's devices, so skip copying the rest of the
-      // ledger (of() on an unlisted device fails loudly, not silently).
-      snapshot = place::OccupancyMap(&topo_, occ_, *ratio);
-    }
-    health = topo_.healthView();
-    version = domainVersionLocked(domain);
-    guessed = next_user_;
-    epoch = epoch_;
-    ++inflight_staged_;
-    gate = compile_gate_;
+SubmitResult ClickIncService::submitOnce(SubmitRequest& req, bool staged) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const CompileScope scope = compileScopeLocked(req.traffic, next_user_);
+  if (!staged) {
+    // Sync: with the lock held across both stages, the live ledger IS the
+    // snapshot, so the commit validates without re-placing. This is also
+    // the reference semantics submitAll must reproduce bit-identically.
+    return commitSpeculative(
+        compileSpeculative(req, scope, occ_, nullptr, &arena_), req);
   }
+  // A single-pod placement never reads beyond its domain's devices, so
+  // its snapshot is sparse and pod-only (of() on an unlisted device fails
+  // loudly, not silently); the escape path copies the full ledger.
+  const place::OccupancyMap snapshot =
+      scope.domain == scale::kCrossDomain
+          ? occ_
+          : place::OccupancyMap(&topo_, occ_, *scope.ratio);
+  const topo::HealthView health = topo_.healthView();
+  ++inflight_staged_;
+  const std::function<void()> gate = compile_gate_;
+  lock.unlock();
   if (gate) gate();  // test hook: deterministic remove()-race window
-  Speculative spec = compileSpeculative(req, guessed, snapshot, version,
-                                        health, pool.get(), domain, ratio,
-                                        std::move(memo));
-  spec.epoch = epoch;
-  std::lock_guard<std::mutex> lock(mu_);
+  Speculative spec = compileSpeculative(req, scope, snapshot, &health, nullptr);
+  lock.lock();
   --inflight_staged_;
   SubmitResult result = commitSpeculative(std::move(spec), req);
   // Cancellations can only target in-flight submissions; once none are
@@ -723,9 +608,10 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
     result.error.retryable = true;
     return result;
   }
-  // A remove() issued while this submission compiled wins the race: the
-  // tenant is gone before its commit, so nothing deploys and occupancy is
-  // untouched.
+  // A remove() issued while a staged submission compiled wins the race:
+  // the first submission to reach commit under the cancelled id — from
+  // any entry point — is refused, so nothing deploys under it and
+  // occupancy is untouched.
   if (cancelled_users_.erase(next_user_) > 0) {
     result.error = {ErrorCode::kUnknownUser, Stage::kCommit,
                     cat("user ", next_user_,
@@ -756,7 +642,7 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
       result.compile_ms += msSince(t0);
       return result;
     }
-    spec.dag = place::BlockDag::build(*spec.prog);
+    spec.in.dag.reset();
   }
 
   // Optimistic-concurrency validation: any occupancy mutation since the
@@ -765,7 +651,7 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
   // depend on occupancy — so re-place against live state, exactly as a
   // sequential submit would have. A health move additionally invalidates
   // the EC tree itself (dead devices must not be placement targets), so
-  // the tree is rebuilt against live health first. The commit stage is
+  // the tree is rebuilt against live health. The commit stage is
   // serialized, so this happens at most once per submission. A single-pod
   // speculative plan validates against its pod's version counter: every
   // mutation of a pod device bumps it (touchDevicesLocked), so commits
@@ -776,16 +662,10 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
           ? domainVersionLocked(spec.domain) != spec.snapshot_version
           : occ_version_ != spec.snapshot_version;
   if (rename || health_moved || occ_moved) {
+    if (health_moved) spec.in.tree.reset();
     try {
-      if (health_moved) spec.tree = topo::buildEcTree(topo_, req.traffic);
-      place::PlacementOptions run_opts = req.options;
-      if (run_opts.pool == nullptr) run_opts.pool = pool_.get();
-      if (run_opts.ratio_devices == nullptr) {
-        run_opts.ratio_devices = domainDevicesOrNull(
-            domains_ == nullptr ? scale::kCrossDomain : spec.domain);
-      }
-      spec.plan = place::placeProgram(spec.dag, spec.tree, topo_, occ_,
-                                      run_opts, &arena_);
+      spec.plan = placeLocked(*spec.prog, req.traffic, nullptr, occ_,
+                              req.options, &spec.in);
     } catch (...) {
       result.error = errorFromCurrentException(Stage::kCommit);
       result.compile_ms += msSince(t0);
@@ -829,7 +709,7 @@ void ClickIncService::commitAndDeployLocked(
                         durable::encodeCommit(rec));
   }
   place::commitPlan(result->plan, *prog, occ_);
-  touchDevicesLocked(planDevices(result->plan));
+  touchDevicesLocked(place::claimedDevices(result->plan));
   const int user = next_user_;
   result->user_id = user;
   auto journalAbort = [&] {
@@ -861,7 +741,7 @@ void ClickIncService::commitAndDeployLocked(
   if (verify_policy_.at_commit && !replaying_) {
     verify::VerifyOptions vopts;
     vopts.scope_users = {user};
-    vopts.scope_devices = planDevices(result->plan);
+    vopts.scope_devices = place::claimedDevices(result->plan);
     result->verify = auditLocked(vopts);
     if (!result->verify.ok()) {
       deployed_.erase(user);
@@ -886,17 +766,13 @@ void ClickIncService::commitAndDeployLocked(
 void ClickIncService::rollbackDeployLocked(
     int user, const std::shared_ptr<ir::IrProgram>& prog,
     const place::PlacementPlan& plan) {
-  for (const auto& a : plan.assignments) {
-    auto strip = [&](int device, const place::IntraPlacement& p) {
-      if (p.instr_idxs.empty()) return;
-      deviceProgram(device).removeUser(user, /*lazy=*/false);
-      emu_.undeploy(device, user);
-      place::releasePlacement(occ_.of(device), *prog, p);
-    };
-    for (const auto& [dev, p] : a.on_device) strip(dev, p);
-    for (const auto& [dev, p] : a.on_bypass) strip(dev, p);
+  const std::set<int> devices = place::claimedDevices(plan);
+  for (int device : devices) {
+    deviceProgram(device).removeUser(user, /*lazy=*/false);
+    emu_.undeploy(device, user);
   }
-  touchDevicesLocked(planDevices(plan));
+  place::releasePlan(plan, *prog, occ_);
+  touchDevicesLocked(devices);
 }
 
 void ClickIncService::deployPlan(
@@ -1125,7 +1001,7 @@ verify::VerifyReport ClickIncService::verifyDomain(int pod) {
     // the same field-for-field occupancy reconciliation the full audit
     // runs, restricted to this domain's slice of the ledger.
     for (const auto& [user, dep] : deployed_) {
-      for (int dev : planDevices(dep.plan)) {
+      for (int dev : place::claimedDevices(dep.plan)) {
         if (opts.scope_devices.count(dev) != 0) {
           opts.scope_users.insert(user);
           break;
@@ -1302,7 +1178,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
   std::vector<int> affected;
   std::set<int> blast;
   for (const auto& [user, dep] : deployed_) {
-    const std::set<int> devs = planDevices(dep.plan);
+    const std::set<int> devs = place::claimedDevices(dep.plan);
     bool hit = false;
     if (devs.empty()) {
       hit = any_heal;  // server-only tenant: try the upgrade
@@ -1389,32 +1265,20 @@ TenantRecovery ClickIncService::recoverTenantLocked(
   // them (claims on Down devices died with the device wipe). The old
   // data-plane — device programs and emulator entries — stays live until
   // the replacement commits below: make-before-break.
-  for (const auto& a : old.plan.assignments) {
-    auto release = [&](int dev, const place::IntraPlacement& p) {
-      if (p.instr_idxs.empty() || !surviving(dev)) return;
-      place::releasePlacement(occ_.of(dev), *old.prog, p);
-    };
-    for (const auto& [dev, p] : a.on_device) release(dev, p);
-    for (const auto& [dev, p] : a.on_bypass) release(dev, p);
-  }
-  touchDevicesLocked(planDevices(old.plan));
+  place::releasePlan(old.plan, *old.prog, occ_,
+                     [&](int dev) { return !surviving(dev); });
+  touchDevicesLocked(place::claimedDevices(old.plan));
 
   // 2. Re-place against the degraded topology (dead devices are not in
   // the EC tree; draining devices forward but take no placements). The
   // effective health view keeps flap-damped entities out of the tree.
+  // The stored options carry no pool or ratio scope: both are service
+  // config, re-resolved here.
   place::PlacementPlan new_plan;
   ServiceError err;
   bool placed = false;
   try {
-    const auto dag = place::BlockDag::build(*old.prog);
-    const auto tree = topo::buildEcTree(topo_, old.traffic, &eff);
-    place::PlacementOptions run_opts = old.options;
-    run_opts.pool = pool_.get();
-    // Re-resolved like the pool: domain scoping is service config, never
-    // stored with the tenant.
-    run_opts.ratio_devices =
-        domainDevicesOrNull(requestDomainLocked(old.traffic));
-    new_plan = place::placeProgram(dag, tree, topo_, occ_, run_opts, &arena_);
+    new_plan = placeLocked(*old.prog, old.traffic, &eff, occ_, old.options);
     cumulative_stats_.add(new_plan.stats);
     placed = new_plan.feasible;
     if (!placed) err = placementFailure(new_plan, Stage::kFailover);
@@ -1434,7 +1298,7 @@ TenantRecovery ClickIncService::recoverTenantLocked(
     server_only = true;
   }
 
-  const std::set<int> old_devices = planDevices(old.plan);
+  const std::set<int> old_devices = place::claimedDevices(old.plan);
 
   if (!placed) {
     // Clean Infeasible: strip the old data-plane from surviving devices
@@ -1511,17 +1375,17 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
       std::set<int> churn;
       for (std::size_t j = 0; j < old.plan.assignments.size(); ++j) {
         if (pinned_old[j]) continue;
-        const auto d = assignmentDevices(old.plan.assignments[j]);
+        const auto d = place::claimedDevices(old.plan.assignments[j]);
         churn.insert(d.begin(), d.end());
       }
       for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
         if (pinned_new[i]) continue;
-        const auto d = assignmentDevices(new_plan.assignments[i]);
+        const auto d = place::claimedDevices(new_plan.assignments[i]);
         churn.insert(d.begin(), d.end());
       }
       for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
         if (!pinned_new[i]) continue;
-        for (int dev : assignmentDevices(new_plan.assignments[i])) {
+        for (int dev : place::claimedDevices(new_plan.assignments[i])) {
           if (churn.count(dev) != 0) {
             pinned_new[i] = 0;
             pinned_old[static_cast<std::size_t>(match[i])] = 0;
@@ -1538,10 +1402,10 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
   // data-plane (pinned devices untouched by construction), deploy the new
   // segments.
   place::commitPlan(new_plan, *old.prog, occ_);
-  touchDevicesLocked(planDevices(new_plan));
+  touchDevicesLocked(place::claimedDevices(new_plan));
   for (std::size_t j = 0; j < old.plan.assignments.size(); ++j) {
     if (pinned_old[j]) continue;
-    for (int dev : assignmentDevices(old.plan.assignments[j])) {
+    for (int dev : place::claimedDevices(old.plan.assignments[j])) {
       if (!surviving(dev)) continue;
       deviceProgram(dev).removeUser(user, /*lazy=*/false);
       emu_.undeploy(dev, user);
@@ -1560,23 +1424,12 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     // registers.
     for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
       if (pinned_new[i]) continue;
-      for (int dev : assignmentDevices(new_plan.assignments[i])) {
+      for (int dev : place::claimedDevices(new_plan.assignments[i])) {
         deviceProgram(dev).removeUser(user, /*lazy=*/false);
         emu_.undeploy(dev, user);
       }
     }
-    for (const auto& a : new_plan.assignments) {
-      for (const auto& [dev, p] : a.on_device) {
-        if (!p.instr_idxs.empty()) {
-          place::releasePlacement(occ_.of(dev), *old.prog, p);
-        }
-      }
-      for (const auto& [dev, p] : a.on_bypass) {
-        if (!p.instr_idxs.empty()) {
-          place::releasePlacement(occ_.of(dev), *old.prog, p);
-        }
-      }
-    }
+    place::releasePlan(new_plan, *old.prog, occ_);
     place::PlacementPlan restore = old.plan;
     for (auto& a : restore.assignments) {
       for (auto it = a.on_device.begin(); it != a.on_device.end();) {
@@ -1587,7 +1440,7 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
       }
     }
     place::commitPlan(restore, *old.prog, occ_);
-    touchDevicesLocked(planDevices(restore));
+    touchDevicesLocked(place::claimedDevices(restore));
     std::vector<char> skip(restore.assignments.size(), 0);
     for (std::size_t j = 0; j < restore.assignments.size(); ++j) {
       skip[j] = pinned_old[j];
@@ -1631,15 +1484,8 @@ ClickIncService::SwapResult ClickIncService::applyMigrationLocked(
   // Release every old claim. Migration only targets fully-healthy
   // footprints, and kMigrate / kMigrateAbort replay re-runs this very
   // function, so the occupancy arithmetic is bit-identical on both paths.
-  for (const auto& a : old.plan.assignments) {
-    auto release = [&](int dev, const place::IntraPlacement& p) {
-      if (p.instr_idxs.empty()) return;
-      place::releasePlacement(occ_.of(dev), *old.prog, p);
-    };
-    for (const auto& [dev, p] : a.on_device) release(dev, p);
-    for (const auto& [dev, p] : a.on_bypass) release(dev, p);
-  }
-  touchDevicesLocked(planDevices(old.plan));
+  place::releasePlan(old.plan, *old.prog, occ_);
+  touchDevicesLocked(place::claimedDevices(old.plan));
   return swapPlanLocked(user, old, new_plan, /*incremental=*/true,
                         [](int) { return true; }, stage);
 }
@@ -1663,7 +1509,7 @@ DefragReport ClickIncService::defragmentLocked(
 
     // Unhealthy footprints belong to the failover pipeline, not defrag.
     bool healthy = true;
-    for (int dev : planDevices(old.plan)) {
+    for (int dev : place::claimedDevices(old.plan)) {
       if (topo_.nodeHealth(dev) != topo::Health::kUp) {
         healthy = false;
         break;
@@ -1683,17 +1529,11 @@ DefragReport ClickIncService::defragmentLocked(
     // plan is guaranteed to fit the live ledger after the release.
     place::PlacementPlan new_plan;
     try {
-      const auto snapshot = defrag::evacuationSnapshot(
-          topo_, occ_, *old.prog, old.plan, v.evacuate);
-      const auto dag = place::BlockDag::build(*old.prog);
+      const auto snapshot =
+          defrag::evacuationSnapshot(occ_, *old.prog, old.plan, v.evacuate);
       const auto eff = effectiveHealthLocked();
-      const auto tree = topo::buildEcTree(topo_, old.traffic, &eff);
-      place::PlacementOptions run_opts = old.options;
-      run_opts.pool = pool_.get();
-      run_opts.ratio_devices =
-          domainDevicesOrNull(requestDomainLocked(old.traffic));
       new_plan =
-          place::placeProgram(dag, tree, topo_, snapshot, run_opts, &arena_);
+          placeLocked(*old.prog, old.traffic, &eff, snapshot, old.options);
       cumulative_stats_.add(new_plan.stats);
     } catch (...) {
       mig.error = errorFromCurrentException(Stage::kDefrag);
@@ -1772,8 +1612,8 @@ DefragReport ClickIncService::defragmentLocked(
     if (opts.verify_each && verify_policy_.at_commit && !replaying_) {
       verify::VerifyOptions vopts;
       vopts.scope_users = {v.user};
-      auto scope = planDevices(old.plan);
-      const auto nd = planDevices(new_plan);
+      auto scope = place::claimedDevices(old.plan);
+      const auto nd = place::claimedDevices(new_plan);
       scope.insert(nd.begin(), nd.end());
       vopts.scope_devices = std::move(scope);
       const verify::VerifyReport vrep = auditLocked(vopts);
@@ -1845,17 +1685,8 @@ bool ClickIncService::reactiveCompactionLocked(
   result->compaction_migrations = dr.migrated;
   if (dr.migrated == 0) return false;
   try {
-    const auto dag = place::BlockDag::build(prog);
     const auto eff = effectiveHealthLocked();
-    const auto tree = topo::buildEcTree(topo_, traffic, &eff);
-    place::PlacementOptions run_opts = options;
-    run_opts.pool = pool_.get();
-    if (run_opts.ratio_devices == nullptr) {
-      run_opts.ratio_devices =
-          domainDevicesOrNull(requestDomainLocked(traffic));
-    }
-    place::PlacementPlan plan =
-        place::placeProgram(dag, tree, topo_, occ_, run_opts, &arena_);
+    place::PlacementPlan plan = placeLocked(prog, traffic, &eff, occ_, options);
     cumulative_stats_.add(plan.stats);
     if (!plan.feasible) return false;  // the original failure plan stands
     result->plan = std::move(plan);
@@ -2051,7 +1882,7 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
       auto prog = std::make_shared<ir::IrProgram>(std::move(cr.prog));
       validateReplayPlan(cr.plan, *prog, occ_);
       place::commitPlan(cr.plan, *prog, occ_);
-      touchDevicesLocked(planDevices(cr.plan));
+      touchDevicesLocked(place::claimedDevices(cr.plan));
       Impact impact;
       deployPlan(cr.user, prog, cr.plan, &impact);
       place::PlacementOptions stored = cr.options;

@@ -12,7 +12,8 @@
 //            conflict), claim resources, synthesize per-device programs
 //            (§6) and deploy onto the emulated network.
 //
-// submit() is the synchronous convenience, submitAsync() returns a
+// Every entry point runs these two stages. submit() runs both under one
+// lock hold, compiling against the live ledger; submitAsync() returns a
 // joinable SubmissionTicket, and submitAll() compiles a batch of tenants
 // concurrently and commits deterministically in request order — results
 // are bit-identical to sequential submits. Failures are structured
@@ -103,26 +104,6 @@ class ClickIncService {
   // Joins every submitAsync() submission issued so far.
   void waitForAsync();
 
-  // --- legacy single-shot overloads (thin shims over SubmitRequest) ---
-
-  [[deprecated("build a core::SubmitRequest and call submit()")]]
-  SubmitResult submitTemplate(const std::string& tmpl,
-                              const std::map<std::string, std::uint64_t>& params,
-                              const topo::TrafficSpec& traffic,
-                              const place::PlacementOptions& opts = {});
-
-  [[deprecated("build a core::SubmitRequest and call submit()")]]
-  SubmitResult submitSource(const std::string& source,
-                            const lang::HeaderSpec& hdr,
-                            const std::map<std::string, std::uint64_t>& constants,
-                            const topo::TrafficSpec& traffic,
-                            const place::PlacementOptions& opts = {});
-
-  [[deprecated("build a core::SubmitRequest and call submit()")]]
-  SubmitResult submitProgram(ir::IrProgram prog,
-                             const topo::TrafficSpec& traffic,
-                             const place::PlacementOptions& opts = {});
-
   // Removes a user program (lazy per §6 unless eager requested). Unknown
   // ids yield ErrorCode::kUnknownUser instead of silently succeeding.
   // Serializes with in-flight submitAsync() commits on the service lock,
@@ -193,10 +174,10 @@ class ClickIncService {
   // SynthesisError, exercising the rollback/restore paths. Single-shot.
   void injectDeployFailureAfter(int n);
 
-  // Test hook: invoked by every staged (submitAsync/submitAll) attempt
-  // between taking its occupancy snapshot and compiling — a deterministic
-  // window for racing remove() against an in-flight submission. Called
-  // without the service lock held. Pass nullptr to clear.
+  // Test hook: invoked by every submitAsync() attempt between taking its
+  // occupancy snapshot and compiling — a deterministic window for racing
+  // remove() against an in-flight submission. Called without the service
+  // lock held. Pass nullptr to clear.
   void setCompileGate(std::function<void()> gate);
 
   // --- durability (docs/recovery.md) ---
@@ -339,7 +320,9 @@ class ClickIncService {
   std::set<int> podsCrossing(const std::set<int>& devices) const;
 
  private:
-  struct Speculative;  // compile-stage output (defined in service.cc)
+  struct Speculative;   // compile-stage output (defined in service.cc)
+  struct CompileScope;  // lock-captured compile context (service.cc)
+  struct PlaceInputs;   // block DAG + EC tree of a placement (service.cc)
 
   // Frontend compile of a request's payload for a given user id (the id
   // seeds program / state-prefix names). Throws lang errors. A kProgram
@@ -347,34 +330,55 @@ class ClickIncService {
   // never reaches the rename re-lower path (the caller names it).
   ir::IrProgram compileFrontend(SubmitRequest& req, int user) const;
 
-  // Whole pipeline under the lock (sync path; zero recompiles possible).
-  SubmitResult submitLocked(SubmitRequest& req);
+  // The one placement call. Builds whatever `in` (nullptr = nothing
+  // cached) lacks — the block DAG of `prog`, the EC tree of `traffic`
+  // against `health` (nullptr = live health, lock held) — resolves a
+  // null opts.pool / opts.ratio_devices to `pool` / `ratio`, and runs the
+  // tree DP against `occ`. Touches no lock-guarded state itself, so the
+  // unlocked compile stage runs it too.
+  place::PlacementPlan placeTenant(const ir::IrProgram& prog,
+                                   const topo::TrafficSpec& traffic,
+                                   const topo::HealthView* health,
+                                   const place::OccupancyMap& occ,
+                                   place::PlacementOptions opts,
+                                   util::ThreadPool* pool,
+                                   const std::vector<int>* ratio,
+                                   place::PlacementArena* arena,
+                                   PlaceInputs* in) const;
+  // placeTenant in the lock-held service context: the service pool, the
+  // traffic's pod ratio scope and the service arena.
+  place::PlacementPlan placeLocked(const ir::IrProgram& prog,
+                                   const topo::TrafficSpec& traffic,
+                                   const topo::HealthView* health,
+                                   const place::OccupancyMap& occ,
+                                   const place::PlacementOptions& opts,
+                                   PlaceInputs* in = nullptr);
 
-  // Stage 1: pure compile against an occupancy + health snapshot; safe to
-  // run concurrently with other compiles (not with commits of *this*
-  // request). The health snapshot keeps the EC-tree build off the live
-  // (lock-protected) health vectors — a concurrent failNode() cannot race
-  // it. `pool` is the caller's pinned copy of the service pool (may be
-  // null).
-  // `domain` / `ratio_devices` / `memo` are the caller's lock-captured
-  // domain resolution (kCrossDomain / nullptr / the global memo handle
-  // when sharding is off or the request crosses pods): snapshot_version
-  // is the *domain's* version for single-pod requests.
-  Speculative compileSpeculative(SubmitRequest& req, int guessed_user,
-                                 const place::OccupancyMap& snapshot,
-                                 std::uint64_t snapshot_version,
-                                 const topo::HealthView& health,
-                                 util::ThreadPool* pool, int domain,
-                                 const std::vector<int>* ratio_devices,
-                                 std::shared_ptr<place::IntraMemo> memo);
+  // The compile context of a request about to compile as `user`.
+  CompileScope compileScopeLocked(const topo::TrafficSpec& traffic,
+                                  int user);
+
+  // Stage 1: frontend + placement against `occ` and `health` (nullptr =
+  // live health). Staged callers pass a snapshot and run unlocked,
+  // concurrently with other compiles (not with commits of *this*
+  // request); a null `arena` gives the compile private scratch over
+  // scope.memo. The sync caller holds the lock and passes the live
+  // ledger and the service arena.
+  Speculative compileSpeculative(SubmitRequest& req,
+                                 const CompileScope& scope,
+                                 const place::OccupancyMap& occ,
+                                 const topo::HealthView* health,
+                                 place::PlacementArena* arena);
 
   // Stage 2 (lock held): validate + claim + synthesize + deploy.
   SubmitResult commitSpeculative(Speculative&& spec, SubmitRequest& req);
 
-  // Snapshot-compile then serialized commit (submitAsync path), wrapped
-  // in the retry loop. submitStagedOnce is a single attempt.
-  SubmitResult submitStaged(SubmitRequest req);
-  SubmitResult submitStagedOnce(SubmitRequest& req);
+  // One attempt of the pipeline. Sync (`staged` false): compile against
+  // the live ledger and commit, both under one lock hold. Staged: compile
+  // unlocked against a snapshot, then commit under the lock.
+  SubmitResult submitOnce(SubmitRequest& req, bool staged);
+  // submitOnce wrapped in the request's effective retry policy.
+  SubmitResult submitWithRetry(SubmitRequest req, bool staged);
 
   RetryPolicy effectivePolicy(const SubmitRequest& req);
 
@@ -561,7 +565,8 @@ class ClickIncService {
   // remove()-vs-in-flight-submission bookkeeping (guarded by mu_).
   // Staged submissions in their compile stage; while any are in flight, a
   // remove() of a not-yet-assigned user id is recorded as a cancellation
-  // instead of kUnknownUser, and the submission observes it at commit.
+  // instead of kUnknownUser, and the first submission to reach commit
+  // under that id (from any entry point) is refused.
   int inflight_staged_ = 0;
   std::set<int> cancelled_users_;
   std::function<void()> compile_gate_;  // test hook (see setCompileGate)

@@ -8,24 +8,6 @@
 
 namespace clickinc::defrag {
 
-namespace {
-
-// Physical devices carrying at least one instruction of the plan.
-std::set<int> claimedDevices(const place::PlacementPlan& plan) {
-  std::set<int> devs;
-  for (const auto& a : plan.assignments) {
-    for (const auto& [dev, p] : a.on_device) {
-      if (!p.instr_idxs.empty()) devs.insert(dev);
-    }
-    for (const auto& [dev, p] : a.on_bypass) {
-      if (!p.instr_idxs.empty()) devs.insert(dev);
-    }
-  }
-  return devs;
-}
-
-}  // namespace
-
 FragReport scoreFragmentation(const topo::Topology& topo,
                               const place::OccupancyMap& occ,
                               const std::vector<TenantPlanView>& tenants,
@@ -36,7 +18,7 @@ FragReport scoreFragmentation(const topo::Topology& topo,
   std::map<int, int> tenants_on;  // device -> claiming-tenant count
   for (const auto& t : tenants) {
     if (t.plan == nullptr) continue;
-    for (int dev : claimedDevices(*t.plan)) ++tenants_on[dev];
+    for (int dev : place::claimedDevices(*t.plan)) ++tenants_on[dev];
   }
 
   double sum = 0, sq = 0;
@@ -112,7 +94,7 @@ std::vector<VictimPick> selectVictims(
   // regardless of the caller's view order).
   std::map<int, std::set<int>> claims_of;
   for (const auto& t : tenants) {
-    if (t.plan != nullptr) claims_of[t.user] = claimedDevices(*t.plan);
+    if (t.plan != nullptr) claims_of[t.user] = place::claimedDevices(*t.plan);
   }
 
   std::set<int> picked;
@@ -134,21 +116,13 @@ std::vector<VictimPick> selectVictims(
   return picks;
 }
 
-place::OccupancyMap evacuationSnapshot(const topo::Topology& topo,
-                                       const place::OccupancyMap& occ,
+place::OccupancyMap evacuationSnapshot(const place::OccupancyMap& occ,
                                        const ir::IrProgram& prog,
                                        const place::PlacementPlan& plan,
                                        const std::vector<int>& evacuate) {
-  (void)topo;
   place::OccupancyMap snapshot = occ;
-  for (const auto& a : plan.assignments) {
-    auto release = [&](int dev, const place::IntraPlacement& p) {
-      if (p.instr_idxs.empty() || !snapshot.contains(dev)) return;
-      place::releasePlacement(snapshot.of(dev), prog, p);
-    };
-    for (const auto& [dev, p] : a.on_device) release(dev, p);
-    for (const auto& [dev, p] : a.on_bypass) release(dev, p);
-  }
+  place::releasePlan(plan, prog, snapshot,
+                     [&](int dev) { return !snapshot.contains(dev); });
   for (int dev : evacuate) {
     if (!snapshot.contains(dev)) continue;
     auto& docc = snapshot.of(dev);
@@ -160,7 +134,7 @@ place::OccupancyMap evacuationSnapshot(const topo::Topology& topo,
 
 bool touchesAny(const place::PlacementPlan& plan,
                 const std::vector<int>& devices) {
-  const auto claims = claimedDevices(plan);
+  const auto claims = place::claimedDevices(plan);
   for (int dev : devices) {
     if (claims.count(dev) != 0) return true;
   }

@@ -120,8 +120,7 @@ std::vector<VictimPick> selectVictims(const FragReport& report,
 // feasible on this snapshot is feasible on the live ledger after the
 // victim's claims are released, because the snapshot under-reports free
 // capacity everywhere else.
-place::OccupancyMap evacuationSnapshot(const topo::Topology& topo,
-                                       const place::OccupancyMap& occ,
+place::OccupancyMap evacuationSnapshot(const place::OccupancyMap& occ,
                                        const ir::IrProgram& prog,
                                        const place::PlacementPlan& plan,
                                        const std::vector<int>& evacuate);

@@ -154,14 +154,6 @@ void Emulator::chargeLink(int a, int b, int bytes) {
       static_cast<double>(bytes) * 8.0 / gbps;
 }
 
-double Emulator::processAt(int node, ir::PacketView& view) {
-  auto it = deployments_.find(node);
-  if (it == deployments_.end()) return 0;
-  auto failed_it = failed_.find(node);
-  if (failed_it != failed_.end() && failed_it->second) return 0;
-  return runEntriesOn(node, it->second, view, scratch_);
-}
-
 bool Emulator::entryEligible(const DeploymentEntry& entry,
                              const ir::PacketView& view) {
   if (entry.user_id >= 0 && entry.user_id != view.user_id) return false;
@@ -228,8 +220,10 @@ void Emulator::processBatchAt(int node,
   // Multiple entries on one device must run packet-major: with shared
   // state, running all packets through entry A before any reaches entry B
   // would leak later packets' writes into earlier packets' reads.
-  // Batching is only taken on the (common) single-entry device.
-  if (it->second.size() > 1) {
+  // Batching is only taken on the (common) single-entry device, and only
+  // for more than one packet: a lone packet (every send()) skips the
+  // batch bookkeeping.
+  if (it->second.size() > 1 || views.size() == 1) {
     for (std::size_t k = 0; k < views.size(); ++k) {
       latency_out[k] += runEntriesOn(node, it->second, *views[k],
                                      ctx.scratch);
@@ -325,102 +319,10 @@ bool Emulator::userServedOnPath(const std::vector<int>& path,
 
 PacketResult Emulator::send(int src, int dst, ir::PacketView view,
                             int wire_bytes, int useful_bytes) {
-  PacketResult result;
-  ++stats_.packets_sent;
-
-  // Accelerator detour: a bypass card attached to a switch is visited as
-  // part of the switch hop (the placement already decided what runs
-  // there), so the walk below only follows the physical path.
-  view.setField("hdr._len", static_cast<std::uint64_t>(wire_bytes));
-
-  auto finish = [&](int at) {
-    result.view = std::move(view);
-    result.final_node = at;
-    result.wire_bytes_out =
-        static_cast<int>(result.view.field("hdr._len"));
-    stats_.total_latency_ns += result.latency_ns;
-    stats_.total_inc_latency_ns += result.inc_latency_ns;
-  };
-  auto drop = [&](int at, DropReason reason) {
-    result.dropped = true;
-    result.drop_reason = reason;
-    ++stats_.packets_dropped;
-    if (reason == DropReason::kUndeployed) {
-      ++stats_.packets_dropped_undeployed;
-    } else if (reason != DropReason::kProgram) {
-      ++stats_.packets_dropped_fault;
-    }
-    finish(at);
-    return result;
-  };
-
-  const auto path = routeOf(src, dst);
-  if (path.empty()) return drop(src, DropReason::kNoRoute);
-  // User traffic on a path that carries none of that user's snippets used
-  // to default-forward silently; it is a misdelivery, so drop at ingress.
-  if (view.user_id >= 0 && !userServedOnPath(path, view.user_id)) {
-    return drop(src, DropReason::kUndeployed);
-  }
-
-  for (std::size_t h = 0; h + 1 < path.size(); ++h) {
-    const int cur = path[h];
-    const int next = path[h + 1];
-    if (topo_->linkHealth(cur, next) == topo::Health::kDown) {
-      return drop(cur, DropReason::kLinkDown);
-    }
-    const int bytes = static_cast<int>(view.field("hdr._len"));
-    chargeLink(cur, next, bytes);
-    result.latency_ns += topo_->linkBetween(cur, next) != nullptr
-                             ? topo_->linkBetween(cur, next)->latency_ns
-                             : 1000.0;
-    ++result.hops;
-    if (topo_->nodeHealth(next) == topo::Health::kDown) {
-      return drop(next, DropReason::kNodeDown);
-    }
-
-    // INC processing at the next node (and its bypass card, if any).
-    const auto& node = topo_->node(next);
-    if (node.programmable || node.kind != topo::NodeKind::kHost) {
-      double inc = processAt(next, view);
-      if (node.attached_accel >= 0) {
-        inc += processAt(node.attached_accel, view);
-      }
-      result.latency_ns += inc;
-      result.inc_latency_ns += inc;
-    }
-
-    if (view.verdict == ir::Verdict::kDrop) {
-      result.dropped = true;
-      result.drop_reason = DropReason::kProgram;
-      ++stats_.packets_dropped;
-      finish(next);
-      return result;
-    }
-    if (view.verdict == ir::Verdict::kSendBack) {
-      // Return to sender: charge the reverse sub-path.
-      for (std::size_t back = h + 1; back > 0; --back) {
-        const int from = path[back];
-        const int to = path[back - 1];
-        chargeLink(from, to, static_cast<int>(view.field("hdr._len")));
-        result.latency_ns += topo_->linkBetween(from, to) != nullptr
-                                 ? topo_->linkBetween(from, to)->latency_ns
-                                 : 1000.0;
-        ++result.hops;
-      }
-      result.bounced = true;
-      ++stats_.packets_bounced;
-      stats_.useful_bytes_delivered +=
-          static_cast<std::uint64_t>(useful_bytes);
-      finish(src);
-      return result;
-    }
-  }
-
-  result.delivered = true;
-  ++stats_.packets_delivered;
-  stats_.useful_bytes_delivered += static_cast<std::uint64_t>(useful_bytes);
-  finish(dst);
-  return result;
+  std::vector<ir::PacketView> one;
+  one.push_back(std::move(view));
+  return std::move(
+      sendBurst(src, dst, std::move(one), wire_bytes, useful_bytes).front());
 }
 
 void Emulator::finishPacket(BurstRun& r, std::size_t i, int at) {

@@ -167,7 +167,8 @@ class Emulator {
   void setOptions(const EmulatorOptions& opts) { options_ = opts; }
   const EmulatorOptions& options() const { return options_; }
 
-  // Sends one packet from host `src` to host `dst`. `wire_bytes` is the
+  // Sends one packet from host `src` to host `dst`: a one-packet
+  // sendBurst(), so it walks the same hop loop. `wire_bytes` is the
   // initial packet size; `useful_bytes` the application payload counted
   // toward goodput on delivery/bounce.
   PacketResult send(int src, int dst, ir::PacketView view, int wire_bytes,
@@ -308,14 +309,12 @@ class Emulator {
   bool userServedOnPath(const std::vector<int>& path, int user) const;
   // Drops one in-flight packet of a burst with a structured reason.
   void dropPacket(BurstRun& r, std::size_t i, int at, DropReason reason);
-  // Runs a device's snippets on the packet; returns added latency.
-  double processAt(int node, ir::PacketView& view);
-  // The per-packet entry loop shared by processAt and the batched path.
+  // The per-packet entry loop of a device (packet-major execution).
   double runEntriesOn(int node, const std::vector<DeploymentEntry>& entries,
                       ir::PacketView& view, ir::ExecPlan::Scratch& scratch);
   // The single eligibility gate both execution paths consult: user
   // filter, §6 step gates, and the already-decided check (verdicts never
-  // unset, so skipping per entry equals processAt's early break).
+  // unset, so skipping per entry equals an early break).
   static bool entryEligible(const DeploymentEntry& entry,
                             const ir::PacketView& view);
   // Reference-path segment materialization (the seed's per-packet copy).
@@ -365,8 +364,7 @@ class Emulator {
   void deployedNodesAtHop(const std::vector<int>& path, std::size_t h,
                           std::vector<int>* out) const;
 
-  ir::ExecPlan::Scratch scratch_;  // reused across every send()
-  BurstCtx burst_ctx_;             // reused across single-flow sendBurst()
+  BurstCtx burst_ctx_;  // reused across send() and single-flow sendBurst()
 };
 
 }  // namespace clickinc::emu

@@ -775,17 +775,53 @@ PlacementPlan placeProgram(const BlockDag& dag, const topo::EcTree& tree,
   return placer.run();
 }
 
+namespace {
+
+// Invokes fn(device, placement) for every placement of the assignment that
+// claims resources (device-resident and bypass alike).
+template <typename Fn>
+void forEachClaim(const NodeAssignment& a, Fn&& fn) {
+  for (const auto& [dev, p] : a.on_device) {
+    if (!p.instr_idxs.empty()) fn(dev, p);
+  }
+  for (const auto& [dev, p] : a.on_bypass) {
+    if (!p.instr_idxs.empty()) fn(dev, p);
+  }
+}
+
+}  // namespace
+
 void commitPlan(const PlacementPlan& plan, const ir::IrProgram& prog,
                 OccupancyMap& occ) {
   CLICKINC_CHECK(plan.feasible, "cannot commit infeasible plan");
   for (const auto& a : plan.assignments) {
-    for (const auto& [dev, p] : a.on_device) {
-      if (!p.instr_idxs.empty()) commitPlacement(occ.of(dev), prog, p);
-    }
-    for (const auto& [dev, p] : a.on_bypass) {
-      if (!p.instr_idxs.empty()) commitPlacement(occ.of(dev), prog, p);
-    }
+    forEachClaim(a, [&](int dev, const IntraPlacement& p) {
+      commitPlacement(occ.of(dev), prog, p);
+    });
   }
+}
+
+void releasePlan(const PlacementPlan& plan, const ir::IrProgram& prog,
+                 OccupancyMap& occ, const std::function<bool(int)>& keep) {
+  for (const auto& a : plan.assignments) {
+    forEachClaim(a, [&](int dev, const IntraPlacement& p) {
+      if (!keep || !keep(dev)) releasePlacement(occ.of(dev), prog, p);
+    });
+  }
+}
+
+std::set<int> claimedDevices(const NodeAssignment& a) {
+  std::set<int> devs;
+  forEachClaim(a, [&](int dev, const IntraPlacement&) { devs.insert(dev); });
+  return devs;
+}
+
+std::set<int> claimedDevices(const PlacementPlan& plan) {
+  std::set<int> devs;
+  for (const auto& a : plan.assignments) {
+    forEachClaim(a, [&](int dev, const IntraPlacement&) { devs.insert(dev); });
+  }
+  return devs;
 }
 
 }  // namespace clickinc::place

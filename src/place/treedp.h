@@ -21,8 +21,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -258,5 +260,17 @@ PlacementPlan placeProgram(const BlockDag& dag, const topo::EcTree& tree,
 
 void commitPlan(const PlacementPlan& plan, const ir::IrProgram& prog,
                 OccupancyMap& occ);
+
+// The inverse of commitPlan: returns every claim of the plan to `occ`.
+// Devices for which `keep` returns true are left untouched (a wiped
+// device's claims died with it; a sparse ledger lacks the device).
+void releasePlan(const PlacementPlan& plan, const ir::IrProgram& prog,
+                 OccupancyMap& occ,
+                 const std::function<bool(int)>& keep = nullptr);
+
+// Physical devices (and bypass cards) holding at least one instruction of
+// the assignment / plan — the devices commitPlan claims resources on.
+std::set<int> claimedDevices(const NodeAssignment& a);
+std::set<int> claimedDevices(const PlacementPlan& plan);
 
 }  // namespace clickinc::place

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <deque>
 #include <queue>
-#include <set>
 #include <utility>
 
 #include "defrag/defrag.h"
@@ -29,20 +28,6 @@ double percentile(std::vector<double> v, double p) {
   const auto idx = static_cast<std::size_t>(
       p * static_cast<double>(v.size() - 1) + 0.5);
   return v[std::min(idx, v.size() - 1)];
-}
-
-// Devices carrying at least one instruction of the plan.
-int claimedDevices(const place::PlacementPlan& plan) {
-  std::set<int> devs;
-  for (const auto& a : plan.assignments) {
-    for (const auto& [dev, p] : a.on_device) {
-      if (!p.instr_idxs.empty()) devs.insert(dev);
-    }
-    for (const auto& [dev, p] : a.on_bypass) {
-      if (!p.instr_idxs.empty()) devs.insert(dev);
-    }
-  }
-  return static_cast<int>(devs.size());
 }
 
 // Small-parameter draws of the three paper templates: cheap enough to
@@ -225,7 +210,7 @@ const ChurnMetrics& ChurnDriver::run() {
       long claimed = 0;
       for (const auto& [user, dep] : svc_->deployments()) {
         (void)user;
-        claimed += claimedDevices(dep.plan);
+        claimed += static_cast<int>(place::claimedDevices(dep.plan).size());
       }
       s.claim_spread = static_cast<double>(claimed) /
                        static_cast<double>(s.live);

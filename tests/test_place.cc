@@ -266,7 +266,14 @@ TEST_F(TreeDpFixture, CommitConsumesResources) {
   const auto plan = placeProgram(dag, tree, topo_, occ);
   ASSERT_TRUE(plan.feasible);
   commitPlan(plan, prog, occ);
-  EXPECT_LT(occ.remainingRatio(), before);
+  const double committed = occ.remainingRatio();
+  EXPECT_LT(committed, before);
+
+  // releasePlan is the exact inverse; kept devices stay claimed.
+  releasePlan(plan, prog, occ, [](int) { return true; });
+  EXPECT_DOUBLE_EQ(occ.remainingRatio(), committed);
+  releasePlan(plan, prog, occ);
+  EXPECT_DOUBLE_EQ(occ.remainingRatio(), before);
 }
 
 TEST_F(TreeDpFixture, SequentialProgramsAvoidFullDevices) {

@@ -1,6 +1,6 @@
 // The tenant-facing submission API: structured errors with the right
-// code/stage per failure cause, the request/ticket/commit lifecycle, and
-// the deprecated shims' equivalence with the SubmitRequest path.
+// code/stage per failure cause through every entry point, and the
+// request/ticket/commit lifecycle.
 #include <gtest/gtest.h>
 
 #include <future>
@@ -34,11 +34,60 @@ SubmitRequest dqaccRequest(const ClickIncService& svc,
 
 // --- error taxonomy -----------------------------------------------------
 
-TEST(ServiceErrors, BadSourceYieldsParseErrorAtCompile) {
-  ClickIncService svc(topo::Topology::paperEmulation());
+// Every entry point runs the same compile -> commit pipeline, so a failure
+// must carry the same code and stage whichever one a tenant used.
+enum class Entry { kSubmit, kAsync, kAll };
+
+struct EntryPoint {
+  const char* name;
+  Entry entry;
+  int concurrency;
+};
+
+class ServiceErrors : public ::testing::TestWithParam<EntryPoint> {
+ protected:
+  // A fresh service at the entry point's concurrency.
+  ClickIncService& service(
+      topo::Topology t = topo::Topology::paperEmulation()) {
+    svc_ = std::make_unique<ClickIncService>(std::move(t));
+    svc_->setConcurrency(GetParam().concurrency);
+    return *svc_;
+  }
+
+  SubmitResult submit(SubmitRequest req) {
+    switch (GetParam().entry) {
+      case Entry::kSubmit:
+        return svc_->submit(std::move(req));
+      case Entry::kAsync:
+        return svc_->submitAsync(std::move(req)).get();
+      case Entry::kAll: {
+        std::vector<SubmitRequest> batch;
+        batch.push_back(std::move(req));
+        return svc_->submitAll(std::move(batch))[0];
+      }
+    }
+    return {};
+  }
+
+ private:
+  std::unique_ptr<ClickIncService> svc_;
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    EntryPoints, ServiceErrors,
+    ::testing::Values(EntryPoint{"Submit", Entry::kSubmit, 1},
+                      EntryPoint{"SubmitAsync", Entry::kAsync, 1},
+                      EntryPoint{"SubmitAll1", Entry::kAll, 1},
+                      EntryPoint{"SubmitAll4", Entry::kAll, 4}),
+    [](const ::testing::TestParamInfo<EntryPoint>& info) {
+      return std::string(info.param.name);
+    });
+
+TEST_P(ServiceErrors, BadSourceYieldsParseErrorAtCompile) {
+  auto& svc = service();
   lang::HeaderSpec hdr;
   hdr.add("value", 32);
-  const auto r = svc.submit(SubmitRequest::fromSource(
+  const auto r = submit(SubmitRequest::fromSource(
       "if hdr.value @@ 3:\n    fwd()\n", hdr, {},
       trafficFor(svc, {"pod0a"}, "pod2b")));
   EXPECT_FALSE(r.ok);
@@ -49,9 +98,9 @@ TEST(ServiceErrors, BadSourceYieldsParseErrorAtCompile) {
   EXPECT_TRUE(svc.deployments().empty());
 }
 
-TEST(ServiceErrors, UnknownTemplateYieldsItsOwnCode) {
-  ClickIncService svc(topo::Topology::paperEmulation());
-  const auto r = svc.submit(SubmitRequest::fromTemplate(
+TEST_P(ServiceErrors, UnknownTemplateYieldsItsOwnCode) {
+  auto& svc = service();
+  const auto r = submit(SubmitRequest::fromTemplate(
       "NoSuchTemplate", {}, trafficFor(svc, {"pod0a"}, "pod2b")));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error.code, ErrorCode::kUnknownTemplate);
@@ -59,7 +108,7 @@ TEST(ServiceErrors, UnknownTemplateYieldsItsOwnCode) {
   EXPECT_NE(r.error.detail.find("NoSuchTemplate"), std::string::npos);
 }
 
-TEST(ServiceErrors, NonProgrammablePathIsStructurallyInfeasible) {
+TEST_P(ServiceErrors, NonProgrammablePathIsStructurallyInfeasible) {
   // client - plain switch - server: every EC on the path is
   // non-programmable, so no amount of free resources can ever help.
   topo::Topology t;
@@ -79,11 +128,11 @@ TEST(ServiceErrors, NonProgrammablePathIsStructurallyInfeasible) {
   t.addLink(cid, did);
   t.addLink(did, sid);
 
-  ClickIncService svc(std::move(t));
+  service(std::move(t));
   topo::TrafficSpec spec;
   spec.sources = {{cid, 10.0}};
   spec.dst_host = sid;
-  const auto r = svc.submit(SubmitRequest::fromTemplate(
+  const auto r = submit(SubmitRequest::fromTemplate(
       "DQAcc", {{"CacheDepth", 64}, {"CacheLen", 2}}, spec));
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error.code, ErrorCode::kInfeasible);
@@ -91,12 +140,12 @@ TEST(ServiceErrors, NonProgrammablePathIsStructurallyInfeasible) {
   EXPECT_FALSE(r.plan.resource_limited);
 }
 
-TEST(ServiceErrors, OccupancyExhaustionYieldsResourceExhausted) {
+TEST_P(ServiceErrors, OccupancyExhaustionYieldsResourceExhausted) {
   // Keep submitting large MLAgg instances until the topology is full: the
   // first failure must be classified as resource exhaustion (the same
   // program placed fine when devices were empty), not as structural
   // infeasibility.
-  ClickIncService svc(topo::Topology::paperEmulation());
+  auto& svc = service();
   const auto req = [&] {
     return SubmitRequest::fromTemplate(
         "MLAgg",
@@ -106,24 +155,25 @@ TEST(ServiceErrors, OccupancyExhaustionYieldsResourceExhausted) {
   SubmitResult last;
   int placed = 0;
   for (int i = 0; i < 64; ++i) {
-    last = svc.submit(req());
+    last = submit(req());
     if (!last.ok) break;
     ++placed;
   }
   ASSERT_FALSE(last.ok) << "64 large instances all fit; grow the workload";
   EXPECT_GT(placed, 0);
   EXPECT_EQ(last.error.code, ErrorCode::kResourceExhausted);
+  EXPECT_EQ(last.error.stage, Stage::kCompile);
   EXPECT_TRUE(last.plan.resource_limited);
 
   // Removing a tenant frees the resources: the same request fits again.
   const int victim = svc.deployments().begin()->first;
   ASSERT_TRUE(svc.remove(victim).ok);
-  const auto retry = svc.submit(req());
+  const auto retry = submit(req());
   EXPECT_TRUE(retry.ok) << retry.error.message();
 }
 
-TEST(ServiceErrors, RemoveUnknownUserIsStructured) {
-  ClickIncService svc(topo::Topology::paperEmulation());
+TEST_P(ServiceErrors, RemoveUnknownUserIsStructured) {
+  auto& svc = service();
   const auto r = svc.remove(4242);
   EXPECT_FALSE(r.ok);
   EXPECT_EQ(r.error.code, ErrorCode::kUnknownUser);
@@ -131,7 +181,7 @@ TEST(ServiceErrors, RemoveUnknownUserIsStructured) {
   EXPECT_TRUE(r.impact.affected_devices.empty());
 
   // Double-remove: the second call reports the same structured cause.
-  const auto ok = svc.submit(dqaccRequest(svc));
+  const auto ok = submit(dqaccRequest(svc));
   ASSERT_TRUE(ok.ok) << ok.error.message();
   EXPECT_TRUE(svc.remove(ok.user_id).ok);
   const auto again = svc.remove(ok.user_id);
@@ -139,7 +189,7 @@ TEST(ServiceErrors, RemoveUnknownUserIsStructured) {
   EXPECT_EQ(again.error.code, ErrorCode::kUnknownUser);
 }
 
-TEST(ServiceErrors, MessageCarriesStageAndCode) {
+TEST(ServiceErrorMessage, MessageCarriesStageAndCode) {
   ServiceError e{ErrorCode::kResourceExhausted, Stage::kCommit, "pod full"};
   EXPECT_EQ(e.message(), "[commit] ResourceExhausted: pod full");
   EXPECT_FALSE(e.ok());
@@ -249,6 +299,39 @@ TEST(ServiceLifecycle, RemoveDuringInFlightCompileCancelsAtCommit) {
   EXPECT_EQ(next.user_id, 1);
 }
 
+TEST(ServiceLifecycle, CancellationRefusesASyncSubmitReachingCommitFirst) {
+  ClickIncService svc(topo::Topology::paperEmulation());
+
+  std::promise<void> reached, release;
+  auto reached_f = reached.get_future();
+  auto release_f = release.get_future().share();
+  svc.setCompileGate([&reached, release_f]() mutable {
+    reached.set_value();
+    release_f.wait();
+  });
+
+  SubmissionTicket ticket = svc.submitAsync(dqaccRequest(svc));
+  reached_f.wait();
+  svc.setCompileGate(nullptr);
+  ASSERT_TRUE(svc.remove(1).ok);
+
+  // The sync submission reaches commit first, under the cancelled id: it
+  // is the one refused, whichever entry point it came from.
+  const auto sync = svc.submit(dqaccRequest(svc));
+  EXPECT_FALSE(sync.ok);
+  EXPECT_EQ(sync.error.code, ErrorCode::kUnknownUser);
+  EXPECT_EQ(sync.error.stage, Stage::kCommit);
+  EXPECT_EQ(svc.deployments().count(1), 0u);
+
+  // The cancellation is spent: the in-flight tenant commits normally.
+  release.set_value();
+  const auto& r = ticket.get();
+  ASSERT_TRUE(r.ok) << r.error.message();
+  EXPECT_EQ(r.user_id, 1);
+  EXPECT_EQ(svc.deployments().size(), 1u);
+  EXPECT_TRUE(svc.verifyDeployments().ok());
+}
+
 TEST(ServiceLifecycle, SubmitAllFallsBackSequentiallyWithoutPool) {
   ClickIncService svc(topo::Topology::paperEmulation());
   ASSERT_EQ(svc.concurrency(), 1);
@@ -272,37 +355,6 @@ TEST(ServiceLifecycle, SubmitProgramPayloadKeepsCallerName) {
   ASSERT_TRUE(r.ok) << r.error.message();
   EXPECT_EQ(svc.deployments().at(r.user_id).prog->name, "my_own_name");
 }
-
-// --- legacy shims -------------------------------------------------------
-
-// The deprecated overloads must stay behaviorally identical to the
-// SubmitRequest path while the ecosystem migrates. This block opts into
-// the deprecated API on purpose; everything else builds clean under
-// -DCLICKINC_WERROR_DEPRECATED=ON (the no-legacy-api CI job).
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(ServiceLegacyShims, TemplateShimMatchesSubmitRequest) {
-  ClickIncService a(topo::Topology::paperEmulation());
-  ClickIncService b(topo::Topology::paperEmulation());
-  const auto ra = a.submitTemplate("DQAcc",
-                                   {{"CacheDepth", 128}, {"CacheLen", 2}},
-                                   trafficFor(a, {"pod0a"}, "pod2b"));
-  const auto rb = b.submit(dqaccRequest(b));
-  ASSERT_TRUE(ra.ok) << ra.error.message();
-  ASSERT_TRUE(rb.ok) << rb.error.message();
-  EXPECT_EQ(ra.user_id, rb.user_id);
-  EXPECT_EQ(ra.plan.gain, rb.plan.gain);
-  EXPECT_EQ(ra.impact.affected_devices, rb.impact.affected_devices);
-}
-
-TEST(ServiceLegacyShims, ShimReportsStructuredErrors) {
-  ClickIncService svc(topo::Topology::paperEmulation());
-  const auto r = svc.submitTemplate("NoSuchTemplate", {},
-                                    trafficFor(svc, {"pod0a"}, "pod2b"));
-  EXPECT_FALSE(r.ok);
-  EXPECT_EQ(r.error.code, ErrorCode::kUnknownTemplate);
-}
-#pragma GCC diagnostic pop
 
 }  // namespace
 }  // namespace clickinc::core
