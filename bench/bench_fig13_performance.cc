@@ -179,7 +179,7 @@ EmuPathResult measureEmuPath(const std::string& name,
   // superinstruction peephole on the compiled plans.
   auto timeMode = [&](bool reference, bool fuse, bool burst) {
     emu::Emulator emu(&topo, 7);
-    emu.setOptions({.fuse_plans = fuse, .pipeline_bursts = true});
+    emu.setOptions({.fuse_plans = fuse});
     emu.setReferenceInterpreter(reference);
     emu::DeploymentEntry entry;
     entry.user_id = 1;
@@ -379,12 +379,12 @@ ParEmuResult measureParallelEmu(const std::string& name,
 // --- converging traffic: many-to-one flows through one aggregation
 // switch, each with a private smartNIC stage ---
 //
-// The regime the stage-pipelined sendBursts targets (MLAgg's
-// many-to-one, paper Fig. 13 case 5): per-flow compression on the NIC
-// overlaps with the shared switch's serialized aggregation. The PR 2
-// baseline is the sequential unfused path (grouped execution collapses
-// aliasing flows to sequential anyway); the sweep measures what fusion
-// alone, and fusion + pipelining per pool size, buy on top.
+// MLAgg's many-to-one regime (paper Fig. 13 case 5): every flow meets
+// the others on the shared switch, so frontier grouping puts each flow in
+// its own group and the pool columns run sequentially — they stay ~1x by
+// construction and pin the pool's overhead on this traffic. The PR 2
+// baseline is the sequential unfused path; the sweep measures what fusion
+// alone, and fusion with a pool attached, buy on top.
 struct ConvResult {
   int flows = 0;
   std::size_t packets_per_flow = 0;
@@ -392,11 +392,10 @@ struct ConvResult {
   std::size_t switch_instrs = 0;
   double median_seq_unfused_pps = 0;  // PR 2 compiled path
   double median_seq_fused_pps = 0;
-  double median_pipe_2t_pps = 0;      // fused + pipelined
-  double median_pipe_4t_pps = 0;
-  double median_grouped_4t_pps = 0;   // PR 3 executor (pipeline off)
+  double median_pool_2t_pps = 0;      // fused, 2-thread pool
+  double median_pool_4t_pps = 0;
   double speedup_fused = 0;           // seq fused vs seq unfused
-  double speedup_fused_pipelined = 0;  // best pipelined vs seq unfused
+  double speedup_fused_pool = 0;      // best pool size vs seq unfused
   bool identical = false;
 };
 
@@ -500,10 +499,10 @@ ConvResult measureConverging(const ir::IrProgram& switch_prog, int dim,
     return bursts;
   };
 
-  auto runOnce = [&](util::ThreadPool* pool, bool fuse, bool pipeline,
+  auto runOnce = [&](util::ThreadPool* pool, bool fuse,
                      std::vector<std::vector<emu::PacketResult>>* out) {
     emu::Emulator emu(&t, 7);
-    emu.setOptions({.fuse_plans = fuse, .pipeline_bursts = pipeline});
+    emu.setOptions({.fuse_plans = fuse});
     emu.setThreadPool(pool);
     auto entryFor = [&](const std::shared_ptr<ir::IrProgram>& p,
                         int step_from, int step_to) {
@@ -533,31 +532,30 @@ ConvResult measureConverging(const ir::IrProgram& switch_prog, int dim,
     return s > 0 ? total / s : 0.0;
   };
 
-  std::vector<double> seq_unfused, seq_fused, pipe2, pipe4, grouped4;
-  std::vector<std::vector<emu::PacketResult>> seq_out, pipe_out;
+  std::vector<double> seq_unfused, seq_fused, pool2_pps, pool4_pps;
+  std::vector<std::vector<emu::PacketResult>> seq_out, pool_out;
   {
     util::ThreadPool pool2(2);
     util::ThreadPool pool4(4);
     for (int rep = 0; rep < reps; ++rep) {
       seq_unfused.push_back(
-          runOnce(nullptr, false, true, rep == 0 ? &seq_out : nullptr));
-      seq_fused.push_back(runOnce(nullptr, true, true, nullptr));
-      pipe2.push_back(runOnce(&pool2, true, true, nullptr));
-      pipe4.push_back(
-          runOnce(&pool4, true, true, rep == 0 ? &pipe_out : nullptr));
-      grouped4.push_back(runOnce(&pool4, true, false, nullptr));
+          runOnce(nullptr, false, rep == 0 ? &seq_out : nullptr));
+      seq_fused.push_back(runOnce(nullptr, true, nullptr));
+      pool2_pps.push_back(runOnce(&pool2, true, nullptr));
+      pool4_pps.push_back(
+          runOnce(&pool4, true, rep == 0 ? &pool_out : nullptr));
     }
   }
-  r.identical = seq_out.size() == pipe_out.size();
+  r.identical = seq_out.size() == pool_out.size();
   for (std::size_t f = 0; r.identical && f < seq_out.size(); ++f) {
-    if (seq_out[f].size() != pipe_out[f].size()) {
+    if (seq_out[f].size() != pool_out[f].size()) {
       r.identical = false;
       break;
     }
     for (std::size_t i = 0; i < seq_out[f].size(); ++i) {
-      if (!samePacket(seq_out[f][i].view, pipe_out[f][i].view) ||
-          seq_out[f][i].latency_ns != pipe_out[f][i].latency_ns ||
-          seq_out[f][i].dropped != pipe_out[f][i].dropped) {
+      if (!samePacket(seq_out[f][i].view, pool_out[f][i].view) ||
+          seq_out[f][i].latency_ns != pool_out[f][i].latency_ns ||
+          seq_out[f][i].dropped != pool_out[f][i].dropped) {
         r.identical = false;
         break;
       }
@@ -565,16 +563,15 @@ ConvResult measureConverging(const ir::IrProgram& switch_prog, int dim,
   }
   r.median_seq_unfused_pps = bench::medianOf(seq_unfused);
   r.median_seq_fused_pps = bench::medianOf(seq_fused);
-  r.median_pipe_2t_pps = bench::medianOf(pipe2);
-  r.median_pipe_4t_pps = bench::medianOf(pipe4);
-  r.median_grouped_4t_pps = bench::medianOf(grouped4);
+  r.median_pool_2t_pps = bench::medianOf(pool2_pps);
+  r.median_pool_4t_pps = bench::medianOf(pool4_pps);
   r.speedup_fused = r.median_seq_unfused_pps > 0
                         ? r.median_seq_fused_pps / r.median_seq_unfused_pps
                         : 0;
-  const double best_pipe = std::max(r.median_pipe_2t_pps,
-                                    r.median_pipe_4t_pps);
-  r.speedup_fused_pipelined =
-      r.median_seq_unfused_pps > 0 ? best_pipe / r.median_seq_unfused_pps
+  const double best_pool = std::max(r.median_pool_2t_pps,
+                                    r.median_pool_4t_pps);
+  r.speedup_fused_pool =
+      r.median_seq_unfused_pps > 0 ? best_pool / r.median_seq_unfused_pps
                                    : 0;
   return r;
 }
@@ -843,34 +840,30 @@ int main() {
   bench::printTable(par_table);
 
   // Converging traffic: the MLAgg many-to-one regime — per-flow smartNIC
-  // compression feeding one shared aggregation switch. The old executor
-  // collapsed this to sequential (every flow aliases the switch); the
-  // stage-pipelined executor overlaps NIC stages with the switch's
-  // serialized aggregation. Baseline = the PR 2 compiled path
-  // (sequential, unfused).
+  // compression feeding one shared aggregation switch. Every flow aliases
+  // the switch, so sendBursts runs them one group at a time even with a
+  // pool. Baseline = the PR 2 compiled path (sequential, unfused).
   bench::printHeader(
-      "Converging traffic — fused + pipelined sendBursts on shared-device "
-      "flows",
+      "Converging traffic — fused sendBursts on shared-device flows",
       cat("Per-flow NIC compression -> one aggregation switch -> server; "
           "aggregate pkt/s across flows.\nHardware threads on this "
           "machine: ", util::ThreadPool::hardwareConcurrency(),
-          " (pipelining needs >1 core to show)."));
+          " (aliasing flows serialize, so the pool columns stay ~1x)."));
 
   const auto conv = measureConverging(programs[1].second, 32, par_flows,
                                       par_packets, reps);
   TextTable conv_table({"flows", "seq unfused (pkt/s)",
-                        "seq fused (pkt/s)", "pipelined 2t (pkt/s)",
-                        "pipelined 4t (pkt/s)", "grouped 4t (pkt/s)",
-                        "fusion speedup", "fused+pipelined speedup",
+                        "seq fused (pkt/s)", "pool 2t (pkt/s)",
+                        "pool 4t (pkt/s)", "fusion speedup",
+                        "fused+pool speedup",
                         "identical"});
   conv_table.addRow({cat(conv.flows),
                      fmtDouble(conv.median_seq_unfused_pps, 0),
                      fmtDouble(conv.median_seq_fused_pps, 0),
-                     fmtDouble(conv.median_pipe_2t_pps, 0),
-                     fmtDouble(conv.median_pipe_4t_pps, 0),
-                     fmtDouble(conv.median_grouped_4t_pps, 0),
+                     fmtDouble(conv.median_pool_2t_pps, 0),
+                     fmtDouble(conv.median_pool_4t_pps, 0),
                      cat(fmtDouble(conv.speedup_fused, 2), "x"),
-                     cat(fmtDouble(conv.speedup_fused_pipelined, 2), "x"),
+                     cat(fmtDouble(conv.speedup_fused_pool, 2), "x"),
                      conv.identical ? "yes" : "NO"});
   bench::printTable(conv_table);
 
@@ -964,11 +957,10 @@ int main() {
   json.kv("switch_instrs", static_cast<long>(conv.switch_instrs));
   json.kv("median_seq_unfused_pps", conv.median_seq_unfused_pps);
   json.kv("median_seq_fused_pps", conv.median_seq_fused_pps);
-  json.kv("median_pipelined_2t_pps", conv.median_pipe_2t_pps);
-  json.kv("median_pipelined_4t_pps", conv.median_pipe_4t_pps);
-  json.kv("median_grouped_4t_pps", conv.median_grouped_4t_pps);
+  json.kv("median_pool_2t_pps", conv.median_pool_2t_pps);
+  json.kv("median_pool_4t_pps", conv.median_pool_4t_pps);
   json.kv("speedup_fused", conv.speedup_fused);
-  json.kv("speedup_fused_pipelined", conv.speedup_fused_pipelined);
+  json.kv("speedup_fused_pool", conv.speedup_fused_pool);
   json.kv("identical", conv.identical);
   json.endObject();
   json.endObject();

@@ -184,11 +184,6 @@ struct RemoveResult {
 
 // Knobs for handleFailure()'s re-placement of tenants hit by a failure.
 struct FailoverPolicy {
-  // Prefer incremental re-placement: segments whose devices survived keep
-  // their claims and positions (Table-6 style minimal churn); only the
-  // affected remainder is re-placed. Off = full re-place of every
-  // affected tenant.
-  bool incremental = true;
   // When the degraded topology cannot host the program on switches,
   // degrade to server-only execution instead of failing the tenant.
   bool server_fallback = true;

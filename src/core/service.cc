@@ -1319,8 +1319,8 @@ TenantRecovery ClickIncService::recoverTenantLocked(
   // 3+4. Segment-diff pinning + make-before-break swap, shared with the
   // defragmentation executor (swapPlanLocked).
   const SwapResult swap = swapPlanLocked(
-      user, old, new_plan, failover_policy_.incremental && !server_only,
-      surviving, Stage::kFailover);
+      user, old, new_plan, /*incremental=*/!server_only, surviving,
+      Stage::kFailover);
   if (!swap.swapped) {
     rec.error = swap.error;
     rec.outcome = swap.restored ? RecoveryOutcome::kPinned
@@ -1609,7 +1609,7 @@ DefragReport ClickIncService::defragmentLocked(
 
     // Commit gate (PR 7), scoped to the victim and every device either
     // plan touches. A violation migrates the victim straight back.
-    if (opts.verify_each && verify_policy_.at_commit && !replaying_) {
+    if (verify_policy_.at_commit && !replaying_) {
       verify::VerifyOptions vopts;
       vopts.scope_users = {v.user};
       auto scope = place::claimedDevices(old.plan);

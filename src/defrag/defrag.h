@@ -51,9 +51,6 @@ struct DefragOptions {
   int max_hot_devices = 4;
   // Victim tenants migrated per pass — the blast-radius bound.
   int max_migrations = 8;
-  // Run the scoped verifier gate after every swap (the PR 7 commit gate);
-  // a violation migrates the victim back. Only tests turn this off.
-  bool verify_each = true;
 };
 
 // One deployed tenant as the scorer/planner sees it. Borrowed pointer;

@@ -369,7 +369,7 @@ void Emulator::startBurstRun(BurstRun& r, int src, int dst,
   r.path = routeOf(src, dst);
   if (r.path.empty()) {
     // No (healthy) route: the whole burst drops at the source. r.path
-    // stays empty, so the hop walk and schedulers see nothing to do.
+    // stays empty, so the hop walk sees nothing to do.
     for (std::size_t i = 0; i < n; ++i) {
       dropPacket(r, i, src, DropReason::kNoRoute);
     }
@@ -390,15 +390,14 @@ void Emulator::startBurstRun(BurstRun& r, int src, int dst,
   }
 }
 
-void Emulator::runBurstHops(BurstRun& r, std::size_t h_begin,
-                            std::size_t h_end) {
+void Emulator::runBurstHops(BurstRun& r) {
   const std::size_t n = r.flight.size();
   BurstCtx& ctx = *r.ctx;
   auto& sub = ctx.hop_sub;
   auto& sub_idx = ctx.hop_sub_idx;
   auto& sub_lat = ctx.hop_sub_lat;
 
-  for (std::size_t h = h_begin; h < h_end && h + 1 < r.path.size(); ++h) {
+  for (std::size_t h = 0; h + 1 < r.path.size(); ++h) {
     if (r.live == 0) break;
     const int cur = r.path[h];
     const int next = r.path[h + 1];
@@ -497,7 +496,7 @@ std::vector<PacketResult> Emulator::runBurst(int src, int dst,
   BurstRun r;
   r.ctx = &ctx;
   startBurstRun(r, src, dst, std::move(views), wire_bytes, useful_bytes);
-  runBurstHops(r, 0, r.path.empty() ? 0 : r.path.size() - 1);
+  runBurstHops(r);
   finishBurstRun(r);
   return std::move(r.results);
 }
@@ -561,68 +560,27 @@ std::vector<int> Emulator::processingNodesOnPath(
   return nodes;
 }
 
-std::vector<std::vector<PacketResult>> Emulator::sendBursts(
-    std::vector<Burst> bursts) {
-  const std::size_t n = bursts.size();
-  std::vector<std::vector<PacketResult>> results(n);
-  if (n == 0) return results;
-
-  // A burst mutates only the state stores of its path's processing nodes
-  // (hosts pass traffic through untouched), so bursts with disjoint
-  // processing-node sets can run concurrently, and bursts sharing a node
-  // only need per-node ordering. RandInt draws come from the one shared
-  // Rng, whose order no schedule could preserve — any deployed RandInt
-  // forces the sequential path.
-  const bool parallel = pool_ != nullptr && n > 1 && !deploymentsUseRandom();
-
-  if (!parallel) {
-    // Sequential: no schedule to compute (runBurst resolves paths
-    // itself); just run in order with per-burst contexts and replay.
-    std::vector<BurstCtx> ctxs(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      results[i] = runBurst(bursts[i].src, bursts[i].dst,
-                            std::move(bursts[i].views), bursts[i].wire_bytes,
-                            bursts[i].useful_bytes, ctxs[i]);
-    }
-    for (const auto& ctx : ctxs) applyBurstEffects(ctx);
-    return results;
-  }
-
-  if (options_.pipeline_bursts) return sendBurstsPipelined(std::move(bursts));
-  return sendBurstsGrouped(std::move(bursts));
-}
-
-std::vector<std::vector<PacketResult>> Emulator::sendBurstsGrouped(
-    std::vector<Burst> bursts) {
-  const std::size_t n = bursts.size();
-  std::vector<std::vector<PacketResult>> results(n);
-  std::vector<std::vector<int>> touched(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    // A routeless burst touches nothing: runBurst drops it at the source.
-    const auto path = routeOf(bursts[i].src, bursts[i].dst);
-    touched[i] = processingNodesOnPath(path);
-  }
-
-  // Frontier grouping: a burst goes into the group right after the last
-  // (highest-indexed) group it aliases — which is disjoint by that very
-  // maximality — or opens a new one. Every conflicting predecessor then
-  // sits in a strictly earlier group, and groups execute in order, so
-  // aliasing bursts keep their sequential relative order on every shared
-  // store. (First-fit would not: a later burst could slip into an earlier
-  // group it happens to be disjoint with, overtaking a conflicting
-  // predecessor parked further back.)
+std::vector<std::vector<std::size_t>> Emulator::frontierGroups(
+    const std::vector<Burst>& bursts) const {
+  // A burst goes into the group right after the last (highest-indexed)
+  // group it aliases — which is disjoint by that very maximality — or
+  // opens a new one. Every conflicting predecessor then sits in a strictly
+  // earlier group, and groups execute in order, so aliasing bursts keep
+  // their sequential relative order on every shared store. (First-fit
+  // would not: a later burst could slip into an earlier group it happens
+  // to be disjoint with, overtaking a conflicting predecessor parked
+  // further back.)
   std::vector<std::vector<std::size_t>> groups;
   std::vector<std::set<int>> group_nodes;
-  for (std::size_t i = 0; i < n; ++i) {
+  for (std::size_t i = 0; i < bursts.size(); ++i) {
+    // A routeless burst touches nothing: runBurst drops it at the source.
+    const auto touched =
+        processingNodesOnPath(routeOf(bursts[i].src, bursts[i].dst));
     std::size_t g = 0;
     for (std::size_t k = groups.size(); k-- > 0;) {
-      bool aliases = false;
-      for (int node : touched[i]) {
-        if (group_nodes[k].count(node) != 0) {
-          aliases = true;
-          break;
-        }
-      }
+      const bool aliases = std::any_of(
+          touched.begin(), touched.end(),
+          [&](int node) { return group_nodes[k].count(node) != 0; });
       if (aliases) {
         g = k + 1;
         break;
@@ -633,209 +591,43 @@ std::vector<std::vector<PacketResult>> Emulator::sendBurstsGrouped(
       group_nodes.emplace_back();
     }
     groups[g].push_back(i);
-    group_nodes[g].insert(touched[i].begin(), touched[i].end());
+    group_nodes[g].insert(touched.begin(), touched.end());
   }
+  return groups;
+}
 
+std::vector<std::vector<PacketResult>> Emulator::sendBursts(
+    std::vector<Burst> bursts) {
+  const std::size_t n = bursts.size();
+  std::vector<std::vector<PacketResult>> results(n);
   std::vector<BurstCtx> ctxs(n);
-  for (const auto& group : groups) {
-    auto runOne = [&](std::size_t i) {
-      results[i] = runBurst(bursts[i].src, bursts[i].dst,
-                            std::move(bursts[i].views), bursts[i].wire_bytes,
-                            bursts[i].useful_bytes, ctxs[i]);
-    };
-    if (group.size() > 1) {
-      pool_->parallelFor(group.size(),
-                         [&](std::size_t k) { runOne(group[k]); });
-    } else {
-      for (std::size_t i : group) runOne(i);
+  auto runOne = [&](std::size_t i) {
+    results[i] = runBurst(bursts[i].src, bursts[i].dst,
+                          std::move(bursts[i].views), bursts[i].wire_bytes,
+                          bursts[i].useful_bytes, ctxs[i]);
+  };
+
+  // A burst mutates only the state stores of its path's processing nodes
+  // (hosts pass traffic through untouched), so device-disjoint bursts can
+  // run concurrently. RandInt draws come from the one shared Rng, whose
+  // order no schedule could preserve — any deployed RandInt forces the
+  // sequential path.
+  if (pool_ == nullptr || n < 2 || deploymentsUseRandom()) {
+    for (std::size_t i = 0; i < n; ++i) runOne(i);
+  } else {
+    for (const auto& group : frontierGroups(bursts)) {
+      if (group.size() > 1) {
+        pool_->parallelFor(group.size(),
+                           [&](std::size_t k) { runOne(group[k]); });
+      } else {
+        runOne(group.front());
+      }
     }
   }
 
   // All effects replay in original burst order — identical to calling
   // sendBurst() once per element.
   for (const auto& ctx : ctxs) applyBurstEffects(ctx);
-  return results;
-}
-
-void Emulator::deployedNodesAtHop(const std::vector<int>& path,
-                                  std::size_t h,
-                                  std::vector<int>* out) const {
-  out->clear();
-  const int next = path[h + 1];
-  auto consider = [&](int node) {
-    // Mirrors processBatchAt's gates: a node with no deployments — or a
-    // failed one, whose processing is skipped wholesale — never touches
-    // its store, so it needs no cross-burst ordering edge.
-    auto it = deployments_.find(node);
-    if (it == deployments_.end() || it->second.empty()) return;
-    auto failed_it = failed_.find(node);
-    if (failed_it != failed_.end() && failed_it->second) return;
-    out->push_back(node);
-  };
-  consider(next);
-  const int accel = topo_->node(next).attached_accel;
-  if (accel >= 0) consider(accel);
-}
-
-// Stage-pipelined executor. Each burst's hop walk is cut into segments:
-// a new segment starts at every hop where the burst meets a device some
-// earlier burst also visits (only devices carrying deployments matter —
-// they are the only shared mutable state). Dependencies:
-//   - segment k of a burst waits for segment k-1 of the same burst
-//     (hops advance in order);
-//   - a segment containing a visit to device D waits for the segment of
-//     the latest earlier burst that visits D.
-// Cross-burst edges always point from a lower to a higher burst index,
-// so the segment graph is acyclic, and every device's store sees bursts
-// in submission order — the sequential arrival sequence. The segments
-// execute on the pool as a dependency-counting work crew: W workers
-// drain a ready queue, releasing successors as segments complete. Each
-// burst's link/stats effects stay in its private context and replay in
-// burst order afterwards, so results, stats, and double-addition
-// sequences are bit-identical to the sequential path.
-std::vector<std::vector<PacketResult>> Emulator::sendBurstsPipelined(
-    std::vector<Burst> bursts) {
-  const std::size_t n = bursts.size();
-  std::vector<std::vector<PacketResult>> results(n);
-  std::vector<BurstCtx> ctxs(n);
-  std::vector<BurstRun> runs(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    runs[i].ctx = &ctxs[i];
-    startBurstRun(runs[i], bursts[i].src, bursts[i].dst,
-                  std::move(bursts[i].views), bursts[i].wire_bytes,
-                  bursts[i].useful_bytes);
-  }
-
-  // --- build the segment DAG ---
-  struct Segment {
-    std::size_t burst = 0;
-    std::size_t h_begin = 0;
-    std::size_t h_end = 0;
-    bool final_hop = false;  // also runs finishBurstRun
-  };
-  std::vector<Segment> segs;
-  std::vector<std::vector<std::size_t>> succ;
-  std::vector<std::size_t> dep;
-  std::map<int, std::size_t> last_seg_at;  // device -> latest visiting seg
-  std::vector<int> hop_devs;
-
-  for (std::size_t i = 0; i < n; ++i) {
-    BurstRun& r = runs[i];
-    // Empty bursts and routeless ones (already dropped whole at start)
-    // have nothing to schedule.
-    if (r.flight.empty() || r.path.empty()) continue;
-    const std::size_t hops = r.path.size() - 1;
-    // Pass 1: find the hops with cross-burst ordering constraints,
-    // keeping each hop's deployed-device list for the recording pass.
-    std::vector<char> boundary(std::max<std::size_t>(hops, 1), 0);
-    std::vector<std::pair<std::size_t, std::size_t>> in_edges;  // (seg, hop)
-    std::vector<std::vector<int>> devs_at_hop(hops);
-    for (std::size_t h = 0; h < hops; ++h) {
-      deployedNodesAtHop(r.path, h, &hop_devs);
-      devs_at_hop[h] = hop_devs;
-      for (int d : hop_devs) {
-        auto it = last_seg_at.find(d);
-        if (it != last_seg_at.end()) {
-          in_edges.push_back({it->second, h});
-          boundary[h] = 1;
-        }
-      }
-    }
-    // Pass 2: cut segments at the boundaries (hop 0 always starts one;
-    // a hopless burst still gets one segment for its finish step).
-    const std::size_t first_seg = segs.size();
-    std::vector<std::size_t> seg_of_hop(hops, first_seg);
-    if (hops == 0) {
-      segs.push_back({i, 0, 0, true});
-    } else {
-      for (std::size_t h = 0; h < hops; ++h) {
-        if (h == 0 || boundary[h]) {
-          if (!segs.empty() && segs.size() > first_seg) {
-            segs.back().h_end = h;
-          }
-          segs.push_back({i, h, hops, false});
-        }
-        seg_of_hop[h] = segs.size() - 1;
-      }
-      segs.back().final_hop = true;
-    }
-    succ.resize(segs.size());
-    dep.resize(segs.size(), 0);
-    // Intra-burst chain.
-    for (std::size_t s = first_seg + 1; s < segs.size(); ++s) {
-      succ[s - 1].push_back(s);
-      ++dep[s];
-    }
-    // Cross-burst device-order edges.
-    for (const auto& [src_seg, h] : in_edges) {
-      succ[src_seg].push_back(seg_of_hop[h]);
-      ++dep[seg_of_hop[h]];
-    }
-    // Record this burst's visits for later bursts.
-    for (std::size_t h = 0; h < hops; ++h) {
-      for (int d : devs_at_hop[h]) last_seg_at[d] = seg_of_hop[h];
-    }
-  }
-
-  // --- run the DAG on a work crew ---
-  if (!segs.empty()) {
-    std::mutex mu;
-    std::condition_variable cv;
-    std::vector<std::size_t> ready;
-    for (std::size_t s = 0; s < segs.size(); ++s) {
-      if (dep[s] == 0) ready.push_back(s);
-    }
-    std::size_t remaining = segs.size();
-    std::exception_ptr error;
-
-    auto runSegment = [&](std::size_t s) {
-      BurstRun& r = runs[segs[s].burst];
-      runBurstHops(r, segs[s].h_begin, segs[s].h_end);
-      if (segs[s].final_hop) finishBurstRun(r);
-    };
-    const std::size_t workers = std::min<std::size_t>(
-        static_cast<std::size_t>(pool_->threadCount()), segs.size());
-    pool_->parallelFor(workers, [&](std::size_t) {
-      std::unique_lock<std::mutex> lock(mu);
-      while (remaining > 0) {
-        if (ready.empty()) {
-          // Some segment is in flight on another worker (the DAG is
-          // acyclic and releases are made before the matching notify),
-          // so waiting here always terminates.
-          cv.wait(lock,
-                  [&] { return !ready.empty() || remaining == 0; });
-          continue;
-        }
-        const std::size_t s = ready.back();
-        ready.pop_back();
-        lock.unlock();
-        try {
-          runSegment(s);
-        } catch (...) {
-          lock.lock();
-          if (error == nullptr) error = std::current_exception();
-          remaining = 0;  // abandon; effects are never applied on error
-          cv.notify_all();
-          return;
-        }
-        lock.lock();
-        --remaining;
-        for (std::size_t t : succ[s]) {
-          if (--dep[t] == 0) ready.push_back(t);
-        }
-        cv.notify_all();
-      }
-      cv.notify_all();
-    });
-    if (error != nullptr) std::rethrow_exception(error);
-  }
-
-  // All effects replay in original burst order — identical to calling
-  // sendBurst() once per element.
-  for (std::size_t i = 0; i < n; ++i) {
-    results[i] = std::move(runs[i].results);
-    applyBurstEffects(ctxs[i]);
-  }
   return results;
 }
 

@@ -10,19 +10,12 @@
 // time — preserving the *shape* of Fig. 13 without vendor-timing claims.
 //
 // Concurrency: state stores are per-device, so bursts whose paths share
-// no processing device never touch the same mutable state, and bursts
-// that *do* share a device only have to agree on their order at that
-// device. sendBursts() exploits both regimes: each burst's hop-major
-// walk is cut into segments at the hops where it meets a device some
-// earlier burst also visits, and the segments execute as a dependency
-// DAG on the attached util::ThreadPool — per-device arrival order is
-// burst-submission order (bit-identical state evolution), while hop
-// stages of different bursts overlap. Device-disjoint bursts degenerate
-// to one segment each and run fully parallel; converging traffic (the
-// MLAgg many-to-one regime) pipelines, e.g. burst k+1 compresses on its
-// smartNIC while burst k aggregates on the shared switch. Every burst
-// records its link/stats effects into a private deferred context,
-// replayed in burst order afterwards, so results and stats are
+// no processing device never touch the same mutable state. sendBursts()
+// groups bursts by frontier grouping (a burst joins the group right after
+// the last one it shares a device with), runs the groups in order and
+// the bursts inside a group in parallel on the attached util::ThreadPool.
+// Every burst records its link/stats effects into a private deferred
+// context, replayed in burst order afterwards, so results and stats are
 // bit-identical to the sequential path (see docs/interpreter.md,
 // "Threading model").
 #pragma once
@@ -46,14 +39,10 @@ namespace clickinc::emu {
 // Execution knobs. `fuse_plans` forwards the superinstruction-fusion
 // option to every plan the emulator compiles at deploy() time (the plan
 // cache keys on it, so redeploying after a toggle never reuses a plan
-// compiled under the other setting). `pipeline_bursts` selects the
-// stage-pipelined sendBursts() executor; off falls back to the older
-// device-disjoint-only grouping (aliasing bursts serialize whole-burst).
-// Both knobs are semantics-preserving — they change wall-clock, never
-// packets, state, or stats.
+// compiled under the other setting). It is semantics-preserving — it
+// changes wall-clock, never packets, state, or stats.
 struct EmulatorOptions {
   bool fuse_plans = true;
-  bool pipeline_bursts = true;
   // Health-aware routing: packets follow shortestPathUp, modeling a
   // converged routing plane that steers around Down elements. Off models
   // the pre-convergence window — paths ignore health and packets
@@ -162,7 +151,7 @@ class Emulator {
   void setThreadPool(util::ThreadPool* pool) { pool_ = pool; }
   util::ThreadPool* threadPool() const { return pool_; }
 
-  // Execution knobs (fusion + pipelined bursts). fuse_plans applies to
+  // Execution knobs (fusion + routing). fuse_plans applies to
   // deploys made *after* the call — set it before deploying.
   void setOptions(const EmulatorOptions& opts) { options_ = opts; }
   const EmulatorOptions& options() const { return options_; }
@@ -188,18 +177,13 @@ class Emulator {
 
   // Runs several flows' bursts. Semantically identical to calling
   // sendBurst() once per element in order — bit-identical results, stats,
-  // and link accounting — but when a thread pool is attached, the bursts
-  // execute as a stage-pipelined DAG: each burst is cut into hop
-  // segments at the devices it shares with earlier bursts, segments of
-  // the same burst run in hop order, and segments visiting a shared
-  // device run in burst-submission order (so every per-device state
-  // store sees exactly the sequential arrival sequence). Device-disjoint
-  // bursts run fully parallel; converging flows overlap their
-  // non-shared hops with the shared device's serialized work. The whole
-  // call falls back to sequential execution when any deployed snippet
-  // consumes the shared Rng (RandInt), whose draw order could not
-  // otherwise be preserved, and to the pre-pipelining device-disjoint
-  // grouping when options().pipeline_bursts is off.
+  // and link accounting. With a thread pool attached, bursts are split
+  // into frontier groups: a burst joins the group right after the last
+  // group it shares a processing device with. Groups run in order and
+  // the bursts of one group run in parallel, so every per-device state
+  // store sees exactly the sequential arrival sequence. The whole call
+  // runs sequentially when any deployed snippet consumes the shared Rng
+  // (RandInt), whose draw order could not otherwise be preserved.
   std::vector<std::vector<PacketResult>> sendBursts(std::vector<Burst> bursts);
 
   // Diagnostic/reference mode: route execution through the retained
@@ -270,10 +254,8 @@ class Emulator {
     }
   };
 
-  // One burst's resumable hop-major walk. The sequential paths drive it
-  // start → runBurstHops(0, end) → finishBurstRun in one go; the
-  // pipelined executor drives the same code hop-segment by hop-segment,
-  // which is what makes the two paths bit-identical by construction.
+  // One burst's hop-major walk: the in-flight packets, their results and
+  // the context the burst's effects are deferred into.
   struct BurstRun {
     int src = -1;
     int dst = -1;
@@ -334,35 +316,25 @@ class Emulator {
                                      std::vector<ir::PacketView> views,
                                      int wire_bytes, int useful_bytes,
                                      BurstCtx& ctx);
-  // The resumable pieces runBurst is made of (also driven segment-wise
-  // by the pipelined executor). startBurstRun resolves the path and
-  // initializes the in-flight set; runBurstHops advances hops
-  // [h_begin, h_end); finishBurstRun delivers whatever is still alive.
+  // The pieces runBurst is made of: startBurstRun resolves the path and
+  // initializes the in-flight set; runBurstHops walks every hop;
+  // finishBurstRun delivers whatever is still alive.
   void startBurstRun(BurstRun& r, int src, int dst,
                      std::vector<ir::PacketView> views, int wire_bytes,
                      int useful_bytes);
-  void runBurstHops(BurstRun& r, std::size_t h_begin, std::size_t h_end);
+  void runBurstHops(BurstRun& r);
   void finishBurstRun(BurstRun& r);
   void finishPacket(BurstRun& r, std::size_t i, int at);
-  // Stage-pipelined executor for aliasing bursts (pool attached,
-  // pipeline_bursts on): per-device-ordered segment DAG on the pool.
-  std::vector<std::vector<PacketResult>> sendBurstsPipelined(
-      std::vector<Burst> bursts);
-  // PR3-era executor: device-disjoint bursts in parallel, aliasing
-  // groups serialized whole-burst (kept under pipeline_bursts == false).
-  std::vector<std::vector<PacketResult>> sendBurstsGrouped(
-      std::vector<Burst> bursts);
+  // Frontier grouping for sendBursts(): burst indices in groups that run
+  // in order, each group's bursts pairwise device-disjoint.
+  std::vector<std::vector<std::size_t>> frontierGroups(
+      const std::vector<Burst>& bursts) const;
   // Replays a context's recorded effects into the shared accumulators.
   void applyBurstEffects(const BurstCtx& ctx);
   // Any deployed snippet containing RandInt (forces sequential bursts).
   bool deploymentsUseRandom() const;
   // Processing nodes (devices + bypass cards) a src->dst burst can touch.
   std::vector<int> processingNodesOnPath(const std::vector<int>& path) const;
-  // The subset of processingNodesOnPath hop h actually consults state on:
-  // nodes carrying at least one deployment (per-device ordering is only
-  // needed there).
-  void deployedNodesAtHop(const std::vector<int>& path, std::size_t h,
-                          std::vector<int>* out) const;
 
   BurstCtx burst_ctx_;  // reused across send() and single-flow sendBurst()
 };

@@ -661,13 +661,11 @@ TEST_F(ParallelEmulation, RandIntDeploymentForcesSequentialFallback) {
 
 // --- converging traffic: many-to-one flows through a shared device ---
 //
-// The pipelined sendBursts regime: every flow does private work on its
-// own smartNIC, then meets the others on one aggregation switch. The
-// shared switch serializes (per-device arrival order must be burst
-// order), but NIC stages of different bursts overlap. These suites pin
-// the bit-identity claim for exactly that schedule, across 1/2/8-thread
-// pools, for both the pipelined executor and the pre-pipelining grouped
-// fallback.
+// Every flow does private work on its own smartNIC, then meets the
+// others on one aggregation switch. The shared switch puts every burst
+// in its own frontier group, so per-device arrival order must come out
+// as burst order. These suites pin the bit-identity claim for exactly
+// that schedule, across 1/2/8-thread pools.
 
 // client_i — nic_i (programmable) — shared switch — server.
 topo::Topology convergingTopology(int k) {
@@ -865,8 +863,8 @@ TEST_F(ConvergingEmulation, MlaggManyToOneAggregationBitIdentical) {
 
 TEST_F(ConvergingEmulation, PartiallyOverlappingPathsKeepDeviceOrder) {
   // h0 -> A -> B -> C -> h1, with extra sources entering at B and C:
-  // bursts share devices at *different* hop indices, exercising the
-  // staggered cross-burst ordering edges of the segment DAG.
+  // bursts share devices at *different* hop indices, so frontier
+  // grouping must order them by device overlap, not by hop position.
   topo::Topology t;
   topo::Node h0, h1, hb, hc;
   h0.name = "h0";
@@ -944,27 +942,6 @@ TEST_F(ConvergingEmulation, PartiallyOverlappingPathsKeepDeviceOrder) {
   }
 }
 
-TEST_F(ConvergingEmulation, PipelineKnobOffFallsBackToGroupedPath) {
-  // pipeline_bursts == false must reproduce the pre-pipelining executor:
-  // still bit-identical to sequential (aliasing bursts serialize whole).
-  const auto topo = convergingTopology(kFlows);
-  auto nic_prog = nicCompress();
-  auto sw_prog = aggAndDropThird();
-  emu::Emulator seq(&topo, 31);
-  emu::Emulator par(&topo, 31);
-  deployConverging(seq, topo, kFlows, nic_prog, sw_prog);
-  deployConverging(par, topo, kFlows, nic_prog, sw_prog);
-  par.setOptions({.fuse_plans = true, .pipeline_bursts = false});
-  util::ThreadPool pool(8);
-  par.setThreadPool(&pool);
-  const auto seq_results =
-      seq.sendBursts(convergingBursts(topo, kFlows, kPackets, 0x9A7));
-  const auto par_results =
-      par.sendBursts(convergingBursts(topo, kFlows, kPackets, 0x9A7));
-  expectAllIdentical(par_results, seq_results);
-  expectEmuStateIdentical(par, seq, topo, *sw_prog);
-}
-
 TEST_F(ConvergingEmulation, FusionKnobDoesNotChangeEmulation) {
   // fuse_plans on/off must be invisible end to end — including the
   // latency model, which charges per *source* instruction.
@@ -973,7 +950,7 @@ TEST_F(ConvergingEmulation, FusionKnobDoesNotChangeEmulation) {
   auto sw_prog = aggAndDropThird();
   emu::Emulator fused(&topo, 17);
   emu::Emulator plain(&topo, 17);
-  plain.setOptions({.fuse_plans = false, .pipeline_bursts = true});
+  plain.setOptions({.fuse_plans = false});
   deployConverging(fused, topo, kFlows, nic_prog, sw_prog);
   deployConverging(plain, topo, kFlows, nic_prog, sw_prog);
   const auto fused_results =
