@@ -156,7 +156,8 @@ struct ClickIncService::PlaceInputs {
 // placement domain with its version, adaptive-ratio scope and IntraMemo
 // shard (kCrossDomain / global version / nullptr / the global memo when
 // sharding is off or the traffic crosses pods), the user id the frontend
-// names the program after, and the service epoch.
+// names the program after, the service epoch, and the EC partition of
+// live health with that health's version.
 struct ClickIncService::CompileScope {
   std::shared_ptr<util::ThreadPool> pool;
   int domain = scale::kCrossDomain;
@@ -165,6 +166,8 @@ struct ClickIncService::CompileScope {
   std::shared_ptr<place::IntraMemo> memo;
   int user = 1;
   std::uint64_t epoch = 0;
+  std::shared_ptr<const topo::EcPartition> partition;
+  std::uint64_t health_version = 0;
 };
 
 // Output of the compile stage: everything the commit stage needs to
@@ -181,6 +184,9 @@ struct ClickIncService::Speculative {
   int domain = scale::kCrossDomain;
   std::uint64_t snapshot_version = 0;
   std::uint64_t health_version = 0;  // topology health the tree was built on
+  // The partition the tree was walked from; a commit re-places over it
+  // unless health moved.
+  std::shared_ptr<const topo::EcPartition> partition;
   std::uint64_t epoch = 0;           // service epoch the compile ran in
   double compile_ms = 0;
 };
@@ -370,7 +376,6 @@ std::vector<SubmitResult> ClickIncService::submitAll(
   // User ids are guessed assuming every earlier request succeeds; the
   // commit stage corrects the rare miss (an earlier in-batch failure).
   const place::OccupancyMap snapshot = occ_;
-  const topo::HealthView health = topo_.healthView();
   std::vector<CompileScope> scopes;
   scopes.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -380,8 +385,7 @@ std::vector<SubmitResult> ClickIncService::submitAll(
   lock.unlock();
   std::vector<Speculative> specs(requests.size());
   pool->parallelFor(requests.size(), [&](std::size_t i) {
-    specs[i] =
-        compileSpeculative(requests[i], scopes[i], snapshot, &health, nullptr);
+    specs[i] = compileSpeculative(requests[i], scopes[i], snapshot, nullptr);
   });
 
   // Stage 2: serialized commits in request order — deterministic user
@@ -455,7 +459,7 @@ void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
 
 place::PlacementPlan ClickIncService::placeTenant(
     const ir::IrProgram& prog, const topo::TrafficSpec& traffic,
-    const topo::HealthView* health, const place::OccupancyMap& occ,
+    const topo::EcPartition& partition, const place::OccupancyMap& occ,
     place::PlacementOptions opts, util::ThreadPool* pool,
     const std::vector<int>* ratio, place::PlacementArena* arena,
     PlaceInputs* in) const {
@@ -464,7 +468,7 @@ place::PlacementPlan ClickIncService::placeTenant(
   if (!in->dag) in->dag = place::BlockDag::build(prog);
   // buildEcTree throws PlacementError for structurally hopeless traffic
   // (unreachable destination, no device on any path).
-  if (!in->tree) in->tree = topo::buildEcTree(topo_, traffic, health);
+  if (!in->tree) in->tree = topo::buildEcTree(topo_, traffic, partition);
   if (opts.pool == nullptr) opts.pool = pool;
   // Domain sharding scopes the adaptive ratio to the request's pod on
   // every path, so sharded submitAll stays bit-identical to sequential
@@ -475,9 +479,9 @@ place::PlacementPlan ClickIncService::placeTenant(
 
 place::PlacementPlan ClickIncService::placeLocked(
     const ir::IrProgram& prog, const topo::TrafficSpec& traffic,
-    const topo::HealthView* health, const place::OccupancyMap& occ,
+    const topo::EcPartition& partition, const place::OccupancyMap& occ,
     const place::PlacementOptions& opts, PlaceInputs* in) {
-  return placeTenant(prog, traffic, health, occ, opts, pool_.get(),
+  return placeTenant(prog, traffic, partition, occ, opts, pool_.get(),
                      domainDevicesOrNull(requestDomainLocked(traffic)),
                      &arena_, in);
 }
@@ -492,20 +496,41 @@ ClickIncService::CompileScope ClickIncService::compileScopeLocked(
   scope.memo = domainMemoLocked(scope.domain);
   scope.user = user;
   scope.epoch = epoch_;
+  scope.partition = partitionLocked(topo_.healthView());
+  scope.health_version = topo_.healthVersion();
   return scope;
+}
+
+std::shared_ptr<const topo::EcPartition> ClickIncService::partitionLocked(
+    const topo::HealthView& health) {
+  if (partition_ == nullptr || !partition_->builtFor(health)) {
+    partition_ = std::make_shared<const topo::EcPartition>(
+        topo::EcPartition::build(topo_, &health));
+  }
+  return partition_;
+}
+
+std::shared_ptr<const topo::EcPartition> ClickIncService::ecPartition(
+    const topo::HealthView& health) {
+  std::lock_guard<std::mutex> lock(mu_);
+  return partitionLocked(health);
+}
+
+topo::HealthView ClickIncService::effectiveHealth() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return effectiveHealthLocked();
 }
 
 ClickIncService::Speculative ClickIncService::compileSpeculative(
     SubmitRequest& req, const CompileScope& scope,
-    const place::OccupancyMap& occ, const topo::HealthView* health,
-    place::PlacementArena* arena) {
+    const place::OccupancyMap& occ, place::PlacementArena* arena) {
   const auto t0 = std::chrono::steady_clock::now();
   Speculative spec;
   spec.guessed_user = scope.user;
   spec.domain = scope.domain;
   spec.snapshot_version = scope.version;
-  spec.health_version =
-      health != nullptr ? health->version : topo_.healthVersion();
+  spec.health_version = scope.health_version;
+  spec.partition = scope.partition;
   spec.epoch = scope.epoch;
   try {
     spec.prog =
@@ -524,10 +549,10 @@ ClickIncService::Speculative ClickIncService::compileSpeculative(
     // pod-sharded one, so disjoint pods never contend on its shards.
     std::optional<place::PlacementArena> own;
     if (arena == nullptr) arena = &own.emplace(scope.memo);
-    // A health snapshot (not live health) keeps an unlocked compile
-    // race-free against concurrent failNode()/healNode(); a stale view is
-    // caught at commit time and re-placed.
-    spec.plan = placeTenant(*spec.prog, req.traffic, health, occ,
+    // The scope's immutable partition (not live health) keeps an unlocked
+    // compile race-free against concurrent failNode()/healNode(); a stale
+    // view is caught at commit time and re-placed.
+    spec.plan = placeTenant(*spec.prog, req.traffic, *scope.partition, occ,
                             req.options, scope.pool.get(), scope.ratio,
                             arena, &spec.in);
   } catch (...) {
@@ -568,8 +593,8 @@ SubmitResult ClickIncService::submitOnce(SubmitRequest& req, bool staged) {
     // Sync: with the lock held across both stages, the live ledger IS the
     // snapshot, so the commit validates without re-placing. This is also
     // the reference semantics submitAll must reproduce bit-identically.
-    return commitSpeculative(
-        compileSpeculative(req, scope, occ_, nullptr, &arena_), req);
+    return commitSpeculative(compileSpeculative(req, scope, occ_, &arena_),
+                             req);
   }
   // A single-pod placement never reads beyond its domain's devices, so
   // its snapshot is sparse and pod-only (of() on an unlisted device fails
@@ -578,12 +603,11 @@ SubmitResult ClickIncService::submitOnce(SubmitRequest& req, bool staged) {
       scope.domain == scale::kCrossDomain
           ? occ_
           : place::OccupancyMap(&topo_, occ_, *scope.ratio);
-  const topo::HealthView health = topo_.healthView();
   ++inflight_staged_;
   const std::function<void()> gate = compile_gate_;
   lock.unlock();
   if (gate) gate();  // test hook: deterministic remove()-race window
-  Speculative spec = compileSpeculative(req, scope, snapshot, &health, nullptr);
+  Speculative spec = compileSpeculative(req, scope, snapshot, nullptr);
   lock.lock();
   --inflight_staged_;
   SubmitResult result = commitSpeculative(std::move(spec), req);
@@ -651,8 +675,8 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
   // depend on occupancy — so re-place against live state, exactly as a
   // sequential submit would have. A health move additionally invalidates
   // the EC tree itself (dead devices must not be placement targets), so
-  // the tree is rebuilt against live health. The commit stage is
-  // serialized, so this happens at most once per submission. A single-pod
+  // the tree is rebuilt over live health's partition. The commit stage
+  // is serialized, so this happens at most once per submission. A single-pod
   // speculative plan validates against its pod's version counter: every
   // mutation of a pod device bumps it (touchDevicesLocked), so commits
   // confined to other pods never force a re-place here.
@@ -662,9 +686,12 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
           ? domainVersionLocked(spec.domain) != spec.snapshot_version
           : occ_version_ != spec.snapshot_version;
   if (rename || health_moved || occ_moved) {
-    if (health_moved) spec.in.tree.reset();
+    if (health_moved) {
+      spec.in.tree.reset();
+      spec.partition = partitionLocked(topo_.healthView());
+    }
     try {
-      spec.plan = placeLocked(*spec.prog, req.traffic, nullptr, occ_,
+      spec.plan = placeLocked(*spec.prog, req.traffic, *spec.partition, occ_,
                               req.options, &spec.in);
     } catch (...) {
       result.error = errorFromCurrentException(Stage::kCommit);
@@ -1223,9 +1250,13 @@ FailoverReport ClickIncService::handleEventsLocked() {
   blast.insert(wiped.begin(), wiped.end());
   report.blast_radius_devices = static_cast<int>(blast.size());
 
-  // Phase 3 — recovery, per tenant in ascending id order.
-  for (int user : affected) {
-    report.tenants.push_back(recoverTenantLocked(user, eff));
+  // Phase 3 — recovery, per tenant in ascending id order, all against
+  // one partition of the effective view.
+  if (!affected.empty()) {
+    const auto partition = partitionLocked(eff);
+    for (int user : affected) {
+      report.tenants.push_back(recoverTenantLocked(user, *partition));
+    }
   }
 
   // Post-failover audit: re-placement, rollback, and device wipes all
@@ -1252,7 +1283,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
 }
 
 TenantRecovery ClickIncService::recoverTenantLocked(
-    int user, const topo::HealthView& eff) {
+    int user, const topo::EcPartition& partition) {
   TenantRecovery rec;
   rec.user_id = user;
   const Deployed old = deployed_.at(user);
@@ -1278,7 +1309,8 @@ TenantRecovery ClickIncService::recoverTenantLocked(
   ServiceError err;
   bool placed = false;
   try {
-    new_plan = placeLocked(*old.prog, old.traffic, &eff, occ_, old.options);
+    new_plan =
+        placeLocked(*old.prog, old.traffic, partition, occ_, old.options);
     cumulative_stats_.add(new_plan.stats);
     placed = new_plan.feasible;
     if (!placed) err = placementFailure(new_plan, Stage::kFailover);
@@ -1498,6 +1530,9 @@ DefragReport ClickIncService::defragmentLocked(
   report.before =
       defrag::scoreFragmentation(topo_, occ_, views, domains_.get(), opts);
   const auto victims = defrag::selectVictims(report.before, views, opts);
+  // The effective view's partition, built on the first victim that
+  // re-places and shared by the rest (migrations never move health).
+  std::shared_ptr<const topo::EcPartition> partition;
 
   for (const auto& v : victims) {
     MigrationRecord mig;
@@ -1531,9 +1566,11 @@ DefragReport ClickIncService::defragmentLocked(
     try {
       const auto snapshot =
           defrag::evacuationSnapshot(occ_, *old.prog, old.plan, v.evacuate);
-      const auto eff = effectiveHealthLocked();
-      new_plan =
-          placeLocked(*old.prog, old.traffic, &eff, snapshot, old.options);
+      if (partition == nullptr) {
+        partition = partitionLocked(effectiveHealthLocked());
+      }
+      new_plan = placeLocked(*old.prog, old.traffic, *partition, snapshot,
+                             old.options);
       cumulative_stats_.add(new_plan.stats);
     } catch (...) {
       mig.error = errorFromCurrentException(Stage::kDefrag);
@@ -1685,8 +1722,9 @@ bool ClickIncService::reactiveCompactionLocked(
   result->compaction_migrations = dr.migrated;
   if (dr.migrated == 0) return false;
   try {
-    const auto eff = effectiveHealthLocked();
-    place::PlacementPlan plan = placeLocked(prog, traffic, &eff, occ_, options);
+    const auto partition = partitionLocked(effectiveHealthLocked());
+    place::PlacementPlan plan =
+        placeLocked(prog, traffic, *partition, occ_, options);
     cumulative_stats_.add(plan.stats);
     if (!plan.feasible) return false;  // the original failure plan stands
     result->plan = std::move(plan);

@@ -319,6 +319,16 @@ class ClickIncService {
   // Pods whose traffic traverses any of `devices`.
   std::set<int> podsCrossing(const std::set<int>& devices) const;
 
+  // The EC partition placements use for `health` (matched by node and
+  // link contents, not version), from the service's one-entry cache;
+  // a miss rebuilds and replaces the cached entry.
+  std::shared_ptr<const topo::EcPartition> ecPartition(
+      const topo::HealthView& health);
+  // Live health with flap-deferred heals masked back to their pre-heal
+  // state: the view failover, defrag and reactive compaction place
+  // against. Equals live health when nothing is deferred.
+  topo::HealthView effectiveHealth();
+
  private:
   struct Speculative;   // compile-stage output (defined in service.cc)
   struct CompileScope;  // lock-captured compile context (service.cc)
@@ -332,13 +342,13 @@ class ClickIncService {
 
   // The one placement call. Builds whatever `in` (nullptr = nothing
   // cached) lacks — the block DAG of `prog`, the EC tree of `traffic`
-  // against `health` (nullptr = live health, lock held) — resolves a
-  // null opts.pool / opts.ratio_devices to `pool` / `ratio`, and runs the
-  // tree DP against `occ`. Touches no lock-guarded state itself, so the
-  // unlocked compile stage runs it too.
+  // walked over `partition` — resolves a null opts.pool /
+  // opts.ratio_devices to `pool` / `ratio`, and runs the tree DP against
+  // `occ`. Touches no lock-guarded state itself, so the unlocked compile
+  // stage runs it too.
   place::PlacementPlan placeTenant(const ir::IrProgram& prog,
                                    const topo::TrafficSpec& traffic,
-                                   const topo::HealthView* health,
+                                   const topo::EcPartition& partition,
                                    const place::OccupancyMap& occ,
                                    place::PlacementOptions opts,
                                    util::ThreadPool* pool,
@@ -349,7 +359,7 @@ class ClickIncService {
   // traffic's pod ratio scope and the service arena.
   place::PlacementPlan placeLocked(const ir::IrProgram& prog,
                                    const topo::TrafficSpec& traffic,
-                                   const topo::HealthView* health,
+                                   const topo::EcPartition& partition,
                                    const place::OccupancyMap& occ,
                                    const place::PlacementOptions& opts,
                                    PlaceInputs* in = nullptr);
@@ -358,8 +368,15 @@ class ClickIncService {
   CompileScope compileScopeLocked(const topo::TrafficSpec& traffic,
                                   int user);
 
-  // Stage 1: frontend + placement against `occ` and `health` (nullptr =
-  // live health). Staged callers pass a snapshot and run unlocked,
+  // The EC partition of `health`: the cached one when it was built for
+  // the same node and link contents, else a fresh build that replaces it.
+  // Keyed on contents, not health.version: the effective view masks
+  // deferred heals under the live version, and recover() reuses versions.
+  std::shared_ptr<const topo::EcPartition> partitionLocked(
+      const topo::HealthView& health);
+
+  // Stage 1: frontend + placement against `occ` and the scope's EC
+  // partition. Staged callers pass a snapshot and run unlocked,
   // concurrently with other compiles (not with commits of *this*
   // request); a null `arena` gives the compile private scratch over
   // scope.memo. The sync caller holds the lock and passes the live
@@ -367,7 +384,6 @@ class ClickIncService {
   Speculative compileSpeculative(SubmitRequest& req,
                                  const CompileScope& scope,
                                  const place::OccupancyMap& occ,
-                                 const topo::HealthView* health,
                                  place::PlacementArena* arena);
 
   // Stage 2 (lock held): validate + claim + synthesize + deploy.
@@ -406,9 +422,11 @@ class ClickIncService {
   // Device death or reboot: fresh occupancy, no device program, no
   // emulator entries or state.
   void wipeDeviceLocked(int node);
-  // Re-places one affected tenant against the degraded topology. `eff` is
-  // the effective health view (flap-damped heals masked out).
-  TenantRecovery recoverTenantLocked(int user, const topo::HealthView& eff);
+  // Re-places one affected tenant against the degraded topology.
+  // `partition` is built for the effective health view (flap-damped heals
+  // masked out).
+  TenantRecovery recoverTenantLocked(int user,
+                                     const topo::EcPartition& partition);
 
   // --- make-before-break swap core (lock held) ---
   //
@@ -528,6 +546,11 @@ class ClickIncService {
   // validation. Health moves are validated separately against the
   // topology's own health version.
   std::uint64_t occ_version_ = 0;
+  // The EC partition of the last health state a placement asked for
+  // (partitionLocked). Immutable and shared: compile stages hold their own
+  // reference across the unlocked compile, so a rebuild never frees one in
+  // use.
+  std::shared_ptr<const topo::EcPartition> partition_;
 
   // Placement-domain state (guarded by mu_; rebuilt by setDomainSharding
   // under quiescence, so compile stages may hold borrowed device-list

@@ -49,8 +49,32 @@ class Parser {
   }
 
  private:
+  // Expression nesting cap. Unary operators, parentheses, subscripts and
+  // call arguments each recurse once per level, so unbounded tenant input
+  // would overflow the stack; past the cap the parse fails like any other
+  // syntax error.
+  static constexpr int kMaxExprDepth = 256;
+
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  int expr_depth_ = 0;
+
+  // One level of expression nesting for the guard's lifetime.
+  class Nest {
+   public:
+    explicit Nest(Parser& p) : p_(p) {
+      if (p_.expr_depth_ >= kMaxExprDepth) {
+        p_.fail(cat("expression nested deeper than ", kMaxExprDepth));
+      }
+      ++p_.expr_depth_;
+    }
+    ~Nest() { --p_.expr_depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser& p_;
+  };
 
   const Token& peek(int ahead = 0) const {
     const std::size_t i = pos_ + static_cast<std::size_t>(ahead);
@@ -223,7 +247,10 @@ class Parser {
     return s;
   }
 
-  ExprPtr parseExpr() { return parseBinary(0); }
+  ExprPtr parseExpr() {
+    const Nest nest(*this);
+    return parseBinary(0);
+  }
 
   ExprPtr parseBinary(int min_prec) {
     ExprPtr left = parseUnary();
@@ -257,6 +284,7 @@ class Parser {
       if (op == "!") op = "not";
       auto e = makeExpr(ExprKind::kUnary, line);
       e->str = op;
+      const Nest nest(*this);
       e->base = parseUnary();
       return e;
     }

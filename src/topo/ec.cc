@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <map>
-#include <set>
+#include <numeric>
+#include <string>
 #include <utility>
 
 #include "util/crc.h"
@@ -11,9 +12,23 @@
 
 namespace clickinc::topo {
 
+namespace {
+
+// Distinct values of `v`, counted by sort+unique in the reused `scratch`.
+std::size_t countDistinct(const std::vector<std::uint64_t>& v,
+                          std::vector<std::uint64_t>& scratch) {
+  scratch.assign(v.begin(), v.end());
+  std::sort(scratch.begin(), scratch.end());
+  return static_cast<std::size_t>(
+      std::unique(scratch.begin(), scratch.end()) - scratch.begin());
+}
+
+}  // namespace
+
 std::vector<int> equivalenceClasses(const Topology& topo,
                                     const HealthView* health) {
-  const HealthView hv = health ? *health : topo.healthView();
+  const HealthView live = health ? HealthView{} : topo.healthView();
+  const HealthView& hv = health ? *health : live;
   // Down links are rare; precompute a per-node mask of severed neighbors.
   std::vector<std::pair<int, int>> down_pairs;
   const auto& links = topo.links();
@@ -33,11 +48,13 @@ std::vector<int> equivalenceClasses(const Topology& topo,
            down_pairs.end();
   };
   const int n = topo.nodeCount();
-  std::vector<std::uint64_t> color(static_cast<std::size_t>(n));
+  const auto un = static_cast<std::size_t>(n);
+  std::vector<std::uint64_t> color(un);
   // Initial colors: hosts are unique (they anchor distinct traffic
   // endpoints); devices start from (kind, layer, health, model,
   // bypass-model). Health kUp contributes 0, keeping the all-healthy
   // partition identical to the health-oblivious one.
+  std::string tag;
   for (int i = 0; i < n; ++i) {
     const Node& nd = topo.node(i);
     if (nd.kind == NodeKind::kHost) {
@@ -47,8 +64,8 @@ std::vector<int> equivalenceClasses(const Topology& topo,
       std::uint64_t c = mix64(static_cast<std::uint64_t>(nd.kind) * 131 +
                               static_cast<std::uint64_t>(nd.layer) +
                               static_cast<std::uint64_t>(hv.nodeAt(i)) * 7919);
-      const std::string tag =
-          nd.model.name + (nd.attached_accel >= 0 ? "+acc" : "");
+      tag.assign(nd.model.name);
+      if (nd.attached_accel >= 0) tag.append("+acc");
       const auto* bytes = reinterpret_cast<const std::uint8_t*>(tag.data());
       c ^= crc32(std::span<const std::uint8_t>(bytes, tag.size()));
       color[static_cast<std::size_t>(i)] = c;
@@ -57,14 +74,18 @@ std::vector<int> equivalenceClasses(const Topology& topo,
   // Refine: new color = hash(old, sorted neighbor colors). Fixpoint in at
   // most n rounds; fat-trees converge in a handful. Severed edges (Down
   // node or link on either side) do not contribute: a switch that lost its
-  // uplink is wired differently from one that kept it.
+  // uplink is wired differently from one that kept it. The buffers are
+  // reused across nodes and rounds; stabilization is detected by the
+  // distinct-color count, carried over from the previous round.
+  std::vector<std::uint64_t> next(un);
+  std::vector<std::uint64_t> nb;
+  std::vector<std::uint64_t> scratch;
+  std::size_t distinct = countDistinct(color, scratch);
   for (int round = 0; round < n; ++round) {
-    std::vector<std::uint64_t> next(static_cast<std::size_t>(n));
     for (int i = 0; i < n; ++i) {
-      std::vector<std::uint64_t> nb;
+      nb.clear();
       for (int j : topo.neighbors(i)) {
-        if (!edgeUp(i, j)) continue;
-        nb.push_back(color[static_cast<std::size_t>(j)]);
+        if (edgeUp(i, j)) nb.push_back(color[static_cast<std::size_t>(j)]);
       }
       std::sort(nb.begin(), nb.end());
       std::uint64_t c = color[static_cast<std::size_t>(i)];
@@ -72,24 +93,54 @@ std::vector<int> equivalenceClasses(const Topology& topo,
       next[static_cast<std::size_t>(i)] = c;
     }
     if (next == color) break;
-    bool changed = false;
-    // Count distinct colors before/after to detect stabilization.
-    std::set<std::uint64_t> before(color.begin(), color.end());
-    std::set<std::uint64_t> after(next.begin(), next.end());
-    changed = before.size() != after.size();
-    color = std::move(next);
+    const std::size_t after = countDistinct(next, scratch);
+    const bool changed = distinct != after;
+    distinct = after;
+    color.swap(next);
     if (!changed && round > 0) break;
   }
-  // Compact to contiguous ids.
-  std::map<std::uint64_t, int> ids;
-  std::vector<int> ec(static_cast<std::size_t>(n));
-  for (int i = 0; i < n; ++i) {
-    auto [it, inserted] = ids.emplace(color[static_cast<std::size_t>(i)],
-                                      static_cast<int>(ids.size()));
-    ec[static_cast<std::size_t>(i)] = it->second;
-    (void)inserted;
+  // Compact to contiguous ids in first-occurrence order: sort node ids by
+  // (color, id), so each color's run starts at its first node.
+  std::vector<int> order(un);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](int a, int b) {
+    const auto ca = color[static_cast<std::size_t>(a)];
+    const auto cb = color[static_cast<std::size_t>(b)];
+    return ca != cb ? ca < cb : a < b;
+  });
+  std::vector<int> first(un);  // node id -> first node of its color
+  int leader = 0;
+  for (std::size_t k = 0; k < un; ++k) {
+    const auto node = static_cast<std::size_t>(order[k]);
+    const auto prev = static_cast<std::size_t>(order[k == 0 ? 0 : k - 1]);
+    if (k == 0 || color[node] != color[prev]) leader = order[k];
+    first[node] = leader;
+  }
+  std::vector<int> ec(un);
+  int ids = 0;
+  for (std::size_t i = 0; i < un; ++i) {
+    const auto f = static_cast<std::size_t>(first[i]);
+    ec[i] = f == i ? ids++ : ec[f];  // f <= i: already assigned
   }
   return ec;
+}
+
+EcPartition EcPartition::build(const Topology& topo,
+                               const HealthView* health) {
+  EcPartition p;
+  p.health = health ? *health : topo.healthView();
+  p.ec_of = equivalenceClasses(topo, &p.health);
+  // One pass groups devices by class (ascending node id per class) so each
+  // tree node materializes in O(|EC|) instead of re-scanning the topology.
+  for (int nid = 0; nid < topo.nodeCount(); ++nid) {
+    if (topo.node(nid).kind == NodeKind::kHost) continue;
+    if (p.health.nodeAt(nid) != Health::kUp) continue;
+    const auto e =
+        static_cast<std::size_t>(p.ec_of[static_cast<std::size_t>(nid)]);
+    if (e >= p.devices_of_ec.size()) p.devices_of_ec.resize(e + 1);
+    p.devices_of_ec[e].push_back(nid);
+  }
+  return p;
 }
 
 std::vector<int> EcTree::clientLeaves() const {
@@ -105,10 +156,15 @@ std::vector<int> EcTree::clientLeaves() const {
 
 EcTree buildEcTree(const Topology& topo, const TrafficSpec& spec,
                    const HealthView* health) {
+  return buildEcTree(topo, spec, EcPartition::build(topo, health));
+}
+
+EcTree buildEcTree(const Topology& topo, const TrafficSpec& spec,
+                   const EcPartition& partition) {
   CLICKINC_CHECK(!spec.sources.empty() && spec.dst_host >= 0,
                  "traffic spec needs sources and a destination");
-  const HealthView hv = health ? *health : topo.healthView();
-  const std::vector<int> ec = equivalenceClasses(topo, &hv);
+  const HealthView& hv = partition.health;
+  const std::vector<int>& ec = partition.ec_of;
 
   // Programmable path of each source: node ids sans hosts, mapped to EC
   // sequences with consecutive duplicates removed. Paths route around Down
@@ -169,21 +225,9 @@ EcTree buildEcTree(const Topology& topo, const TrafficSpec& spec,
   }
   const int root_ec = suffix.front();
 
-  // One pass groups devices by class (ascending node id per class) so each
-  // EC materializes in O(|EC|) instead of re-scanning the whole topology.
-  // Only Up devices qualify as replica targets: a Draining twin must not
-  // receive new segments and a Down one is gone.
-  std::vector<std::vector<int>> devices_of_ec;
-  for (int nid = 0; nid < topo.nodeCount(); ++nid) {
-    if (topo.node(nid).kind == NodeKind::kHost) continue;
-    if (hv.nodeAt(nid) != Health::kUp) continue;
-    const int e = ec[static_cast<std::size_t>(nid)];
-    if (e >= static_cast<int>(devices_of_ec.size())) {
-      devices_of_ec.resize(static_cast<std::size_t>(e) + 1);
-    }
-    devices_of_ec[static_cast<std::size_t>(e)].push_back(nid);
-  }
-
+  // Only Up devices qualify as replica targets (the partition's lists): a
+  // Draining twin must not receive new segments and a Down one is gone.
+  const auto& devices_of_ec = partition.devices_of_ec;
   EcTree tree;
   std::map<int, int> node_of_ec;  // ec id -> tree index
   auto getNode = [&](int e) -> int {

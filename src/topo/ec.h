@@ -61,14 +61,40 @@ struct EcTree {
   std::vector<int> clientLeaves() const;
 };
 
+// The traffic-independent half of the EC build: the classes of one health
+// state and the Up devices of each. The merge depends only on the wiring
+// and the health, so one partition serves every traffic spec compiled
+// against that state. Immutable once built; ClickIncService shares one
+// per health state between concurrent compiles (docs/placement.md).
+struct EcPartition {
+  HealthView health;  // the state it was built for (the key is the node
+                      // and link contents; the version is informational)
+  std::vector<int> ec_of;  // node id -> class id (equivalenceClasses)
+  // Up devices of each class, ascending by node id. Hosts, Draining and
+  // Down devices are in no list: none of them is a replica target.
+  std::vector<std::vector<int>> devices_of_ec;
+
+  // `health` nullptr = the live topology health.
+  static EcPartition build(const Topology& topo, const HealthView* health);
+  // True when built for exactly these node and link states.
+  bool builtFor(const HealthView& hv) const {
+    return health.node == hv.node && health.link == hv.link;
+  }
+};
+
 // Builds the reduced tree for a traffic spec. Paths run source -> core ->
 // destination; programmable devices only (hosts are endpoints). Throws
 // PlacementError when a source cannot reach the destination in the wiring,
 // and UnavailableError when a path exists but no *healthy* one does (or
 // every device on it is Draining) — the transient, retryable case.
-// `health` is a snapshot for lock-free compile stages; nullptr reads the
-// live topology health. Down devices never appear in the tree; Draining
-// devices forward but are excluded as placement targets.
+// Health is read from the partition alone, so a tree never mixes two
+// health states. Down devices never appear in the tree; Draining devices
+// forward but are excluded as placement targets.
+EcTree buildEcTree(const Topology& topo, const TrafficSpec& spec,
+                   const EcPartition& partition);
+
+// Uncached form: builds the partition for `health` (a snapshot; nullptr =
+// live topology health) and walks it.
 EcTree buildEcTree(const Topology& topo, const TrafficSpec& spec,
                    const HealthView* health = nullptr);
 

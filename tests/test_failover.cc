@@ -6,11 +6,14 @@
 // recovery across 1/2/8-thread pools.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/service.h"
+#include "durable/journal.h"
+#include "durable/serialize.h"
 #include "emu/emulator.h"
 #include "emu/fault.h"
 #include "place/intradevice.h"
@@ -710,6 +713,220 @@ TEST(ServiceFailover, RemoveRacesInFlightSubmitCleanly) {
       }
     }
   }
+}
+
+// --- EC partition cache -------------------------------------------------
+
+// The tree a build yields, or the kind of error it throws.
+struct TreeOutcome {
+  std::optional<topo::EcTree> tree;
+  std::string error;
+};
+
+template <typename Build>
+TreeOutcome outcomeOf(Build&& build) {
+  try {
+    return {build(), ""};
+  } catch (const UnavailableError&) {
+    return {std::nullopt, "unavailable"};
+  } catch (const PlacementError&) {
+    return {std::nullopt, "placement"};
+  }
+}
+
+void expectSameTree(const topo::EcTree& a, const topo::EcTree& b,
+                    const std::string& where) {
+  EXPECT_EQ(a.root, b.root) << where;
+  EXPECT_EQ(a.server_chain, b.server_chain) << where;
+  EXPECT_EQ(a.total_traffic, b.total_traffic) << where;
+  ASSERT_EQ(a.nodes.size(), b.nodes.size()) << where;
+  for (std::size_t i = 0; i < a.nodes.size(); ++i) {
+    const auto& x = a.nodes[i];
+    const auto& y = b.nodes[i];
+    EXPECT_EQ(x.ec_id, y.ec_id) << where << " node " << i;
+    EXPECT_EQ(x.devices, y.devices) << where << " node " << i;
+    EXPECT_EQ(x.model, y.model) << where << " node " << i;
+    EXPECT_EQ(x.bypass, y.bypass) << where << " node " << i;
+    EXPECT_EQ(x.parent, y.parent) << where << " node " << i;
+    EXPECT_EQ(x.children, y.children) << where << " node " << i;
+    EXPECT_EQ(x.leaf_traffic, y.leaf_traffic) << where << " node " << i;
+    EXPECT_EQ(x.server_side, y.server_side) << where << " node " << i;
+  }
+}
+
+// The service's partition for `view` must be built for exactly that view
+// and walk to the same trees as a fresh uncached build.
+void expectCachedMatchesFresh(ClickIncService& svc,
+                              const topo::HealthView& view,
+                              const std::vector<topo::TrafficSpec>& specs,
+                              const std::string& where) {
+  const auto& topo = svc.topology();
+  const auto part = svc.ecPartition(view);
+  ASSERT_TRUE(part->builtFor(view)) << where;
+  const auto fresh = topo::EcPartition::build(topo, &view);
+  EXPECT_EQ(part->ec_of, fresh.ec_of) << where;
+  EXPECT_EQ(part->devices_of_ec, fresh.devices_of_ec) << where;
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const std::string at = cat(where, " spec ", i);
+    const auto cached =
+        outcomeOf([&] { return topo::buildEcTree(topo, specs[i], *part); });
+    const auto uncached =
+        outcomeOf([&] { return topo::buildEcTree(topo, specs[i], &view); });
+    EXPECT_EQ(cached.error, uncached.error) << at;
+    if (cached.tree && uncached.tree) {
+      expectSameTree(*cached.tree, *uncached.tree, at);
+    }
+  }
+}
+
+topo::Topology k8FatTree() {
+  return topo::Topology::fatTree(8, 2, device::makeTofino(),
+                                 device::makeTrident4(),
+                                 device::makeTofino2());
+}
+
+// Host `i` of `pod`, in node-id order.
+int hostOf(const topo::Topology& topo, int pod, int i) {
+  for (const auto& n : topo.nodes()) {
+    if (n.kind == topo::NodeKind::kHost && n.pod == pod && i-- == 0) {
+      return n.id;
+    }
+  }
+  return -1;
+}
+
+// Programmable device `i` of `pod` on `layer` (1 = ToR, 2 = Agg).
+int deviceOf(const topo::Topology& topo, int pod, int layer, int i) {
+  for (const auto& n : topo.nodes()) {
+    if (n.kind != topo::NodeKind::kHost && n.pod == pod &&
+        n.layer == layer && i-- == 0) {
+      return n.id;
+    }
+  }
+  return -1;
+}
+
+SubmitRequest dqaccBetween(int src, int dst) {
+  topo::TrafficSpec t;
+  t.sources.push_back({src, 10.0});
+  t.dst_host = dst;
+  return SubmitRequest::fromTemplate(
+      "DQAcc", {{"CacheDepth", 128}, {"CacheLen", 2}}, t);
+}
+
+// The partition cache is keyed on health contents. Along a seeded
+// kill/drain/heal walk with flap damping on, failover caches partitions of
+// the effective view, which masks deferred heals under the live version,
+// and submits cache partitions of live health. Every lookup must still
+// return a partition built for exactly the requested view.
+TEST(EcPartitionCache, CachedTreesMatchFreshAlongAFaultWalk) {
+  ClickIncService svc(k8FatTree());
+  const auto& topo = svc.topology();
+  core::FailoverPolicy pol;
+  pol.flap_window = 4;
+  svc.setFailoverPolicy(pol);
+
+  std::vector<topo::TrafficSpec> specs;
+  {
+    topo::TrafficSpec intra;  // one pod, two racks
+    intra.sources.push_back({hostOf(topo, 0, 0), 10.0});
+    intra.dst_host = hostOf(topo, 0, 3);
+    specs.push_back(intra);
+    topo::TrafficSpec cross;  // one source across the core
+    cross.sources.push_back({hostOf(topo, 1, 0), 10.0});
+    cross.dst_host = hostOf(topo, 5, 1);
+    specs.push_back(cross);
+    topo::TrafficSpec fan_in;  // three pods into one host
+    for (int pod : {2, 3, 6}) {
+      fan_in.sources.push_back({hostOf(topo, pod, 2), 5.0 + pod});
+    }
+    fan_in.dst_host = hostOf(topo, 7, 0);
+    specs.push_back(fan_in);
+  }
+  for (int pod = 0; pod < 8; pod += 2) {
+    ASSERT_TRUE(svc.submit(dqaccBetween(hostOf(topo, pod, 0),
+                                        hostOf(topo, pod + 1, 1)))
+                    .ok);
+  }
+
+  emu::FaultOptions opts;
+  opts.max_down = 4;
+  opts.heal_bias = 0.5;
+  svc.armFaultInjector(/*seed=*/11, opts);
+  int deferred_steps = 0;
+  auto check = [&](const std::string& where) {
+    const auto live = topo.healthView();
+    const auto eff = svc.effectiveHealth();
+    if (eff.node != live.node || eff.link != live.link) ++deferred_steps;
+    // Live first: after a failover batch the cache holds the effective
+    // view's partition under the live version.
+    expectCachedMatchesFresh(svc, live, specs, where + " live");
+    expectCachedMatchesFresh(svc, eff, specs, where + " effective");
+  };
+  for (int step = 0; step < 40; ++step) {
+    svc.stepFault();
+    if (step % 3 == 0) {
+      // A submit caches live health's partition between failovers.
+      svc.submit(dqaccBetween(hostOf(topo, step % 8, 1),
+                              hostOf(topo, (step + 3) % 8, 0)));
+    }
+    check(cat("step ", step));
+  }
+
+  // A deterministic flap: the heal lands inside the window and is
+  // deferred, so the effective view keeps the Agg down under the live
+  // version that says it is up.
+  svc.processFailures();
+  const int agg = deviceOf(topo, 4, 2, 0);
+  if (topo.nodeHealth(agg) != topo::Health::kUp) svc.healNode(agg);
+  svc.failNode(agg);
+  const auto up = svc.healNode(agg);
+  EXPECT_EQ(up.damped_events, 1);
+  check("flap");
+  EXPECT_GT(deferred_steps, 0);
+}
+
+// recover() reuses health versions: replaying another service's journal
+// lands on a version this service's cache already holds, with different
+// contents. Partitions, trees and plans must follow the contents.
+TEST(EcPartitionCache, RecoverWithReusedVersionsRebuildsThePartition) {
+  ClickIncService a(k8FatTree());
+  ClickIncService b(k8FatTree());
+  const auto& topo = a.topology();
+  durable::MemJournalSink ja;
+  durable::MemJournalSink jb;
+  a.attachJournal(&ja);
+  b.attachJournal(&jb);
+  // Two Aggs of the source pod: each service loses a different one.
+  const int x = deviceOf(topo, 0, 2, 0);
+  const int y = deviceOf(topo, 0, 2, 1);
+  a.failNode(x);
+  b.failNode(y);
+  const auto before = a.ecPartition(topo.healthView());
+  ASSERT_EQ(before->health.version, b.topology().healthVersion());
+
+  durable::MemJournalSink copy;
+  copy.setBytes(jb.readAll());
+  ASSERT_TRUE(a.recover(&copy).ok);
+  const auto live = topo.healthView();
+  EXPECT_EQ(live.version, before->health.version);
+  EXPECT_NE(live.node, before->health.node);
+
+  std::vector<topo::TrafficSpec> specs(1);
+  specs[0].sources.push_back({hostOf(topo, 0, 0), 10.0});
+  specs[0].dst_host = hostOf(topo, 3, 0);
+  expectCachedMatchesFresh(a, live, specs, "recovered");
+
+  // Both services now hold the same state, so the same request places
+  // the same plan.
+  const auto ra = a.submit(dqaccBetween(hostOf(topo, 0, 0),
+                                        hostOf(topo, 3, 0)));
+  const auto rb = b.submit(dqaccBetween(hostOf(topo, 0, 0),
+                                        hostOf(topo, 3, 0)));
+  ASSERT_TRUE(ra.ok) << ra.error.message();
+  ASSERT_TRUE(rb.ok) << rb.error.message();
+  EXPECT_EQ(durable::planFingerprint(ra.plan),
+            durable::planFingerprint(rb.plan));
 }
 
 // --- chaos suite --------------------------------------------------------

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "ir/analysis.h"
 #include "ir/interp.h"
 #include "lang/ast.h"
@@ -128,6 +130,26 @@ TEST(Parser, AugAssign) {
   auto m = parseModule("x += 2\n");
   EXPECT_EQ(m.stmts[0]->kind, StmtKind::kAugAssign);
   EXPECT_EQ(m.stmts[0]->aug_op, "+");
+}
+
+// Tenant source reaches the parser unchecked: deep nesting must fail as a
+// ParseError, not overflow the stack. Both shapes recurse once per level.
+TEST(Parser, DeepNestingIsAParseErrorNotACrash) {
+  const int deep = 100000;
+  EXPECT_THROW(parseModule("x = " + std::string(deep, '-') + "1\n"),
+               ParseError);
+  EXPECT_THROW(parseModule("x = " + std::string(deep, '(') + "1" +
+                           std::string(deep, ')') + "\n"),
+               ParseError);
+  EXPECT_THROW(parseModule("x = " + std::string(deep, '[') + "1" +
+                           std::string(deep, ']') + "\n"),
+               ParseError);
+  // Nesting within the cap still parses.
+  const int ok = 200;
+  EXPECT_NO_THROW(parseModule("x = " + std::string(ok, '-') + "1\n"));
+  const auto m = parseModule("x = " + std::string(ok, '(') + "1" +
+                             std::string(ok, ')') + "\n");
+  EXPECT_EQ(m.stmts[0]->value->kind, ExprKind::kInt);
 }
 
 TEST(Parser, CountLoc) {

@@ -345,6 +345,60 @@ TEST(DomainSharding, SamePodContentionAndCrossPodEscape) {
   EXPECT_EQ(digestOf(svc), want);
 }
 
+// Every compile of a batch shares the service's cached EC partition, and a
+// health move between batches replaces it. Through a drain, a kill and
+// their heals, sharded submitAll batches must stay bit-identical to
+// sequential submits across 1/2/8-thread pools.
+TEST(DomainSharding, PartitionCacheKeepsBatchesBitIdenticalAcrossHealth) {
+  scale::FatTreeParams p;
+  p.k = 4;
+  p.hosts_per_tor = 2;
+  const auto ft = scale::buildFatTree(p);
+  const place::PlacementOptions opts;
+  auto batch = [&] {
+    auto reqs = disjointPodBatch(ft, opts);
+    topo::TrafficSpec cross;  // pod 1 -> pod 3: cross-domain escape
+    cross.sources.push_back({ft.pods[1].hosts[1], 10.0});
+    cross.dst_host = ft.pods[3].hosts[0];
+    reqs.push_back(core::SubmitRequest::fromTemplate(
+        "DQAcc", {{"CacheDepth", 64}, {"CacheLen", 2}}, cross, opts));
+    return reqs;
+  };
+  const int agg = ft.pods[0].aggs[0];
+  const int core = ft.cores[1];
+  // threads == 0: the sequential submit() reference.
+  auto run = [&](int threads) {
+    core::ClickIncService svc(ft.topo);
+    svc.setDomainSharding(true);
+    svc.setConcurrency(std::max(threads, 1));
+    std::string out;
+    auto submitBatch = [&] {
+      std::vector<core::SubmitResult> results;
+      if (threads == 0) {
+        for (auto& req : batch()) results.push_back(svc.submit(req));
+      } else {
+        results = svc.submitAll(batch());
+      }
+      for (const auto& r : results) {
+        out += cat(r.user_id, r.ok ? "+" : "-", toString(r.error.code), ";");
+      }
+    };
+    submitBatch();
+    svc.drainNode(agg);
+    submitBatch();
+    svc.failNode(core);
+    submitBatch();
+    svc.healNode(agg);
+    svc.healNode(core);
+    submitBatch();
+    return out + digestOf(svc);
+  };
+  const std::string want = run(0);
+  for (const int threads : {1, 2, 8}) {
+    EXPECT_EQ(run(threads), want) << "threads=" << threads;
+  }
+}
+
 // Per-domain audits reconcile field for field with the full occupancy
 // soundness audit: each pod's scoped report is clean, and so is the
 // global one.

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <string>
 
 #include "core/service.h"
 #include "modules/templates.h"
@@ -96,6 +97,24 @@ TEST_P(ServiceErrors, BadSourceYieldsParseErrorAtCompile) {
   EXPECT_FALSE(r.error.detail.empty());
   // No resources claimed, no user registered.
   EXPECT_TRUE(svc.deployments().empty());
+}
+
+TEST_P(ServiceErrors, DeeplyNestedSourceYieldsParseErrorAndServiceLives) {
+  auto& svc = service();
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  const int deep = 100000;
+  const auto r = submit(SubmitRequest::fromSource(
+      "x = " + std::string(deep, '(') + "hdr.value" + std::string(deep, ')') +
+          "\n",
+      hdr, {}, trafficFor(svc, {"pod0a"}, "pod2b")));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.code, ErrorCode::kParseError);
+  EXPECT_EQ(r.error.stage, Stage::kCompile);
+  EXPECT_TRUE(svc.deployments().empty());
+  // The service is still usable.
+  const auto next = submit(dqaccRequest(svc));
+  EXPECT_TRUE(next.ok) << next.error.message();
 }
 
 TEST_P(ServiceErrors, UnknownTemplateYieldsItsOwnCode) {

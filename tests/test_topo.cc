@@ -2,8 +2,11 @@
 
 #include <set>
 
+#include "emu/fault.h"
+#include "scale/fattree.h"
 #include "topo/ec.h"
 #include "topo/topology.h"
+#include "util/crc.h"
 #include "util/error.h"
 
 namespace clickinc::topo {
@@ -123,6 +126,45 @@ TEST(Ec, FatTreeMergesAggsAndCores) {
     }
   }
   EXPECT_EQ(static_cast<int>(tor_ecs.size()), tor_count);
+}
+
+// Digest of equivalenceClasses at every step of a seeded kill/drain/heal
+// walk.
+std::uint64_t classWalkDigest(Topology t, std::uint64_t seed, int steps) {
+  emu::FaultOptions opts;
+  opts.max_down = 6;
+  emu::FaultInjector inj(&t, seed, opts);
+  std::uint64_t h = 0;
+  for (int step = 0; step <= steps; ++step) {
+    for (int e : equivalenceClasses(t)) {
+      h = mix64(h ^ static_cast<std::uint64_t>(e));
+    }
+    inj.step();
+  }
+  return h;
+}
+
+// Class ids order the EC tree's nodes and so reach every plan: any change
+// to the refinement must keep them exactly. The digests are pinned.
+TEST(Ec, ClassIdsArePinnedAlongSeededFaultWalks) {
+  EXPECT_EQ(classWalkDigest(Topology::fatTree(8, 2, device::makeTofino(),
+                                              device::makeTrident4(),
+                                              device::makeTofino2()),
+                            5, 40),
+            3494855303941213005ULL);
+  scale::FatTreeParams k16;
+  k16.k = 16;
+  k16.hosts_per_tor = 8;
+  EXPECT_EQ(classWalkDigest(scale::buildFatTree(k16).topo, 9, 12),
+            7453852614096487331ULL);
+  scale::FatTreeParams nics;
+  nics.k = 4;
+  nics.host_nics = true;
+  EXPECT_EQ(classWalkDigest(scale::buildFatTree(nics).topo, 3, 30),
+            11377702680124169568ULL);
+  // paperEmulation attaches a bypass accelerator, tagged in initial colors.
+  EXPECT_EQ(classWalkDigest(Topology::paperEmulation(), 7, 30),
+            9347510418837122720ULL);
 }
 
 TEST(EcTree, SinglePathChainBecomesChainTree) {
