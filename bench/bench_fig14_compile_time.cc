@@ -9,7 +9,7 @@
 // tables + occupancy-keyed intra-placement memo + server-chain early
 // exit) against the retained reference path on the full workload set, and
 // emits a machine-readable BENCH_fig14.json (median ms per workload,
-// steps, cache hit rates) so successive PRs have a perf trajectory.
+// steps, memo hit rates) so successive changes have a perf trajectory.
 #include <chrono>
 
 #include "bench_util.h"
@@ -63,9 +63,6 @@ struct WorkloadResult {
   long steps_ref = 0;
   long steps_fast = 0;
   double intra_memo_hit_rate = 0;
-  double seg_cache_hit_rate = 0;
-  long seg_probes = 0;
-  long seg_misses = 0;
   long early_breaks = 0;
   // Worker-pool fast path (cold arena per run, like median_fast_ms).
   double median_par2_ms = 0;
@@ -180,9 +177,6 @@ WorkloadResult measureWorkload(const std::string& name,
   r.steps_ref = ref_plan.steps;
   r.steps_fast = fast_plan.steps;
   r.intra_memo_hit_rate = fast_plan.stats.intraMemoHitRate();
-  r.seg_cache_hit_rate = fast_plan.stats.segCacheHitRate();
-  r.seg_probes = fast_plan.stats.seg_probes;
-  r.seg_misses = fast_plan.stats.seg_misses;
   r.early_breaks = fast_plan.stats.early_breaks;
   return r;
 }
@@ -296,15 +290,13 @@ int main() {
   }
 
   TextTable fastTable({"workload", "reference (ms)", "fast (ms)",
-                       "warm ideal (ms)", "speedup", "memo hit rate",
-                       "segs computed"});
+                       "warm ideal (ms)", "speedup", "memo hit rate"});
   for (const auto& r : results) {
     fastTable.addRow({r.name, fmtDouble(r.median_ref_ms, 3),
                       fmtDouble(r.median_fast_ms, 3),
                       fmtDouble(r.median_warm_ms, 3),
                       cat(fmtDouble(r.speedup, 2), "x"),
-                      fmtDouble(r.intra_memo_hit_rate, 3),
-                      cat(r.seg_misses)});
+                      fmtDouble(r.intra_memo_hit_rate, 3)});
   }
   bench::printTable(fastTable);
 
@@ -352,9 +344,6 @@ int main() {
     json.kv("steps_reference", r.steps_ref);
     json.kv("steps_fast", r.steps_fast);
     json.kv("intra_memo_hit_rate", r.intra_memo_hit_rate);
-    json.kv("seg_cache_hit_rate", r.seg_cache_hit_rate);
-    json.kv("seg_probes", r.seg_probes);
-    json.kv("seg_misses", r.seg_misses);
     json.kv("early_breaks", r.early_breaks);
     json.kv("median_parallel_2t_ms", r.median_par2_ms);
     json.kv("median_parallel_4t_ms", r.median_par4_ms);

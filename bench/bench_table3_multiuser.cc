@@ -322,7 +322,6 @@ int main() {
   json.kv("placed", seq.placed);
   json.kv("total_ms", seq.total_ms);
   json.kv("intra_memo_hit_rate", seq.stats.intraMemoHitRate());
-  json.kv("seg_cache_hit_rate", seq.stats.segCacheHitRate());
   json.key("instances").beginArray();
   for (const auto& inst : seq.instances) {
     json.beginObject();

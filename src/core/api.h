@@ -182,11 +182,9 @@ struct RemoveResult {
 
 // --- failover (docs/failures.md) ---
 
-// Knobs for handleFailure()'s re-placement of tenants hit by a failure.
+// Knobs for the failover pipeline's re-placement of tenants hit by a
+// failure (a tenant no switch placement fits degrades to server-only).
 struct FailoverPolicy {
-  // When the degraded topology cannot host the program on switches,
-  // degrade to server-only execution instead of failing the tenant.
-  bool server_fallback = true;
   // Flap damping: a heal whose entity was disturbed within the last
   // `flap_window` health-version ticks is deferred — the upgrade /
   // re-placement back onto it waits until the entity stays quiet past the
@@ -201,7 +199,7 @@ enum class RecoveryOutcome {
   kPinned,      // deployment untouched (failure outside its footprint)
   kReplaced,    // re-placed (fully or incrementally) and redeployed
   kServerOnly,  // degraded to server-only placement
-  kInfeasible,  // no placement on the degraded topology; claims released
+  kInfeasible,  // swap and restore of the old plan both failed: dropped
 };
 
 const char* toString(RecoveryOutcome outcome);
@@ -209,7 +207,7 @@ const char* toString(RecoveryOutcome outcome);
 struct TenantRecovery {
   int user_id = -1;
   RecoveryOutcome outcome = RecoveryOutcome::kPinned;
-  ServiceError error;        // set iff outcome == kInfeasible
+  ServiceError error;        // set when the swap failed
   int segments_replaced = 0; // assignments that moved or were re-synthesized
   int segments_pinned = 0;   // assignments kept in place (incremental mode)
 };

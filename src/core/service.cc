@@ -122,13 +122,11 @@ bool samePlacement(const place::IntraPlacement& a,
 
 bool samePlacementMap(const std::map<int, place::IntraPlacement>& a,
                       const std::map<int, place::IntraPlacement>& b) {
-  if (a.size() != b.size()) return false;
-  auto ia = a.begin();
-  for (auto ib = b.begin(); ib != b.end(); ++ia, ++ib) {
-    if (ia->first != ib->first) return false;
-    if (!samePlacement(ia->second, ib->second)) return false;
-  }
-  return true;
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             samePlacement(x.second, y.second);
+                    });
 }
 
 // Identical segment: same block range, same devices, same instruction
@@ -172,29 +170,21 @@ struct ClickIncService::CompileScope {
 
 // Output of the compile stage: everything the commit stage needs to
 // validate and deploy without recomputing, or a structured compile error.
-// The block DAG holds a pointer into *prog, so the program is heap-pinned.
+// Commit checks every assumption in `scope` against live state. The block
+// DAG holds a pointer into *prog, so the program is heap-pinned.
 struct ClickIncService::Speculative {
+  CompileScope scope;
   std::shared_ptr<ir::IrProgram> prog;
   PlaceInputs in;
   place::PlacementPlan plan;
   ServiceError error;  // frontend failure; placement failures live in plan
-  int guessed_user = -1;
-  // Placement domain the compile was scoped to; snapshot_version is that
-  // domain's version, so commit validates against the matching counter.
-  int domain = scale::kCrossDomain;
-  std::uint64_t snapshot_version = 0;
-  std::uint64_t health_version = 0;  // topology health the tree was built on
-  // The partition the tree was walked from; a commit re-places over it
-  // unless health moved.
-  std::shared_ptr<const topo::EcPartition> partition;
-  std::uint64_t epoch = 0;           // service epoch the compile ran in
   double compile_ms = 0;
 };
 
 ClickIncService::ClickIncService(topo::Topology topo, std::uint64_t seed)
     : topo_(std::move(topo)),
       base_(synth::makeDefaultBase()),
-      occ_(&topo_),
+      ledger_(&topo_),
       emu_(&topo_, seed, &plan_cache_) {}
 
 ClickIncService::~ClickIncService() { waitForAsync(); }
@@ -231,63 +221,14 @@ void ClickIncService::setConcurrency(int threads) {
 void ClickIncService::setDomainSharding(bool on) {
   waitForAsync();  // quiescence: no compile stage may hold stale handles
   std::lock_guard<std::mutex> lock(mu_);
-  domains_.reset();
-  domain_version_.clear();
+  ledger_.setDomainSharding(on);
   domain_memos_.clear();
   if (!on) return;
-  domains_ = std::make_unique<scale::DomainIndex>(topo_);
-  domain_version_.assign(
-      static_cast<std::size_t>(domains_->domainCount()), 0);
-  domain_memos_.reserve(static_cast<std::size_t>(domains_->domainCount()));
-  for (int d = 0; d < domains_->domainCount(); ++d) {
+  const int pods = ledger_.domainIndex()->domainCount();
+  domain_memos_.reserve(static_cast<std::size_t>(pods));
+  for (int d = 0; d < pods; ++d) {
     domain_memos_.push_back(std::make_shared<place::IntraMemo>());
   }
-}
-
-bool ClickIncService::domainSharding() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return domains_ != nullptr;
-}
-
-int ClickIncService::requestDomainLocked(
-    const topo::TrafficSpec& traffic) const {
-  return domains_ == nullptr ? scale::kCrossDomain
-                             : domains_->domainOfTraffic(traffic);
-}
-
-std::uint64_t ClickIncService::domainVersionLocked(int domain) const {
-  return domain == scale::kCrossDomain
-             ? occ_version_
-             : domain_version_[static_cast<std::size_t>(domain)];
-}
-
-const std::vector<int>* ClickIncService::domainDevicesOrNull(
-    int domain) const {
-  return domain == scale::kCrossDomain ? nullptr
-                                       : &domains_->domainDevices(domain);
-}
-
-std::shared_ptr<place::IntraMemo> ClickIncService::domainMemoLocked(
-    int domain) {
-  return domain == scale::kCrossDomain
-             ? arena_.memoHandle()
-             : domain_memos_[static_cast<std::size_t>(domain)];
-}
-
-void ClickIncService::touchDevicesLocked(const std::set<int>& devices) {
-  ++occ_version_;
-  if (domains_ == nullptr) return;
-  for (int dev : devices) {
-    const int d = domains_->domainOf(dev);
-    if (d != scale::kCrossDomain) {
-      ++domain_version_[static_cast<std::size_t>(d)];
-    }
-  }
-}
-
-void ClickIncService::touchAllDomainsLocked() {
-  ++occ_version_;
-  for (auto& v : domain_version_) ++v;
 }
 
 ir::IrProgram ClickIncService::compileFrontend(SubmitRequest& req,
@@ -309,12 +250,6 @@ ir::IrProgram ClickIncService::compileFrontend(SubmitRequest& req,
 }
 
 // --- the public surface -------------------------------------------------
-
-RetryPolicy ClickIncService::effectivePolicy(const SubmitRequest& req) {
-  if (req.retry.max_attempts > 0) return req.retry;
-  std::lock_guard<std::mutex> lock(mu_);
-  return retry_policy_;
-}
 
 SubmitResult ClickIncService::submit(SubmitRequest req) {
   return submitWithRetry(std::move(req), /*staged=*/false);
@@ -375,7 +310,7 @@ std::vector<SubmitResult> ClickIncService::submitAll(
   // Stage 1: speculative compiles, all against one occupancy snapshot.
   // User ids are guessed assuming every earlier request succeeds; the
   // commit stage corrects the rare miss (an earlier in-batch failure).
-  const place::OccupancyMap snapshot = occ_;
+  const place::OccupancyMap snapshot = ledger_.occupancy();
   std::vector<CompileScope> scopes;
   scopes.reserve(requests.size());
   for (std::size_t i = 0; i < requests.size(); ++i) {
@@ -385,7 +320,8 @@ std::vector<SubmitResult> ClickIncService::submitAll(
   lock.unlock();
   std::vector<Speculative> specs(requests.size());
   pool->parallelFor(requests.size(), [&](std::size_t i) {
-    specs[i] = compileSpeculative(requests[i], scopes[i], snapshot, nullptr);
+    specs[i] = compileSpeculative(requests[i], std::move(scopes[i]), snapshot,
+                                  nullptr);
   });
 
   // Stage 2: serialized commits in request order — deterministic user
@@ -400,8 +336,7 @@ std::vector<SubmitResult> ClickIncService::submitAll(
 RemoveResult ClickIncService::remove(int user_id, bool lazy) {
   std::lock_guard<std::mutex> lock(mu_);
   RemoveResult out;
-  auto it = deployed_.find(user_id);
-  if (it == deployed_.end()) {
+  if (ledger_.deployments().count(user_id) == 0) {
     // The id may belong to a staged submission still in its compile
     // stage (user ids are assigned at commit, in order). Record the
     // removal as a cancellation: the first submission to reach commit
@@ -424,15 +359,14 @@ RemoveResult ClickIncService::remove(int user_id, bool lazy) {
     journalAppendLocked(durable::RecordType::kRemove,
                         durable::encodeRemove(rec));
   }
-  doRemoveLocked(it, user_id, lazy, &out);
+  doRemoveLocked(user_id, lazy, &out);
   return out;
 }
 
-void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
-                                     int user_id, bool lazy,
+void ClickIncService::doRemoveLocked(int user_id, bool lazy,
                                      RemoveResult* outp) {
   RemoveResult& out = *outp;
-  const Deployed& dep = it->second;
+  const Deployed& dep = ledger_.deployments().at(user_id);
   for (int device : place::claimedDevices(dep.plan)) {
     const auto stats = deviceProgram(device).removeUser(user_id, lazy);
     out.impact.affected_devices.insert(device);
@@ -449,9 +383,8 @@ void ClickIncService::doRemoveLocked(std::map<int, Deployed>::iterator it,
   out.impact.affected_pods = podsCrossing(out.impact.affected_devices);
   // Resources are recorded as released immediately (§6), even when the
   // data-plane strip is deferred (lazy enforcement).
-  place::releasePlan(dep.plan, *dep.prog, occ_);
-  touchDevicesLocked(out.impact.affected_devices);
-  deployed_.erase(it);
+  ledger_.release(dep.plan, *dep.prog);
+  ledger_.erase(user_id);
   out.ok = true;
 }
 
@@ -482,7 +415,7 @@ place::PlacementPlan ClickIncService::placeLocked(
     const topo::EcPartition& partition, const place::OccupancyMap& occ,
     const place::PlacementOptions& opts, PlaceInputs* in) {
   return placeTenant(prog, traffic, partition, occ, opts, pool_.get(),
-                     domainDevicesOrNull(requestDomainLocked(traffic)),
+                     ledger_.domainDevices(ledger_.domainOf(traffic)),
                      &arena_, in);
 }
 
@@ -490,10 +423,12 @@ ClickIncService::CompileScope ClickIncService::compileScopeLocked(
     const topo::TrafficSpec& traffic, int user) {
   CompileScope scope;
   scope.pool = pool_;
-  scope.domain = requestDomainLocked(traffic);
-  scope.version = domainVersionLocked(scope.domain);
-  scope.ratio = domainDevicesOrNull(scope.domain);
-  scope.memo = domainMemoLocked(scope.domain);
+  scope.domain = ledger_.domainOf(traffic);
+  scope.version = ledger_.version(scope.domain);
+  scope.ratio = ledger_.domainDevices(scope.domain);
+  scope.memo = scope.domain == scale::kCrossDomain
+                   ? arena_.memoHandle()
+                   : domain_memos_[static_cast<std::size_t>(scope.domain)];
   scope.user = user;
   scope.epoch = epoch_;
   scope.partition = partitionLocked(topo_.healthView());
@@ -522,19 +457,14 @@ topo::HealthView ClickIncService::effectiveHealth() {
 }
 
 ClickIncService::Speculative ClickIncService::compileSpeculative(
-    SubmitRequest& req, const CompileScope& scope,
-    const place::OccupancyMap& occ, place::PlacementArena* arena) {
+    SubmitRequest& req, CompileScope scope, const place::OccupancyMap& occ,
+    place::PlacementArena* arena) {
   const auto t0 = std::chrono::steady_clock::now();
   Speculative spec;
-  spec.guessed_user = scope.user;
-  spec.domain = scope.domain;
-  spec.snapshot_version = scope.version;
-  spec.health_version = scope.health_version;
-  spec.partition = scope.partition;
-  spec.epoch = scope.epoch;
+  spec.scope = std::move(scope);
+  const CompileScope& sc = spec.scope;
   try {
-    spec.prog =
-        std::make_shared<ir::IrProgram>(compileFrontend(req, scope.user));
+    spec.prog = std::make_shared<ir::IrProgram>(compileFrontend(req, sc.user));
   } catch (...) {
     spec.error = errorFromCurrentException(Stage::kCompile);
     spec.compile_ms = msSince(t0);
@@ -548,13 +478,13 @@ ClickIncService::Speculative ClickIncService::compileSpeculative(
     // between them. With domain sharding the memo is the request's
     // pod-sharded one, so disjoint pods never contend on its shards.
     std::optional<place::PlacementArena> own;
-    if (arena == nullptr) arena = &own.emplace(scope.memo);
+    if (arena == nullptr) arena = &own.emplace(sc.memo);
     // The scope's immutable partition (not live health) keeps an unlocked
     // compile race-free against concurrent failNode()/healNode(); a stale
     // view is caught at commit time and re-placed.
-    spec.plan = placeTenant(*spec.prog, req.traffic, *scope.partition, occ,
-                            req.options, scope.pool.get(), scope.ratio,
-                            arena, &spec.in);
+    spec.plan = placeTenant(*spec.prog, req.traffic, *sc.partition, occ,
+                            req.options, sc.pool.get(), sc.ratio, arena,
+                            &spec.in);
   } catch (...) {
     spec.error = errorFromCurrentException(Stage::kCompile);
   }
@@ -564,7 +494,9 @@ ClickIncService::Speculative ClickIncService::compileSpeculative(
 
 SubmitResult ClickIncService::submitWithRetry(SubmitRequest req,
                                               bool staged) {
-  const RetryPolicy policy = effectivePolicy(req);
+  // A request's own policy takes precedence over the service-wide one.
+  const RetryPolicy policy =
+      req.retry.max_attempts > 0 ? req.retry : retryPolicy();
   const int max_attempts = std::max(1, policy.max_attempts);
   if (max_attempts == 1) return submitOnce(req, staged);
   // Retry loop: each attempt works on a fresh copy of the request (a
@@ -588,26 +520,28 @@ SubmitResult ClickIncService::submitWithRetry(SubmitRequest req,
 
 SubmitResult ClickIncService::submitOnce(SubmitRequest& req, bool staged) {
   std::unique_lock<std::mutex> lock(mu_);
-  const CompileScope scope = compileScopeLocked(req.traffic, next_user_);
+  CompileScope scope = compileScopeLocked(req.traffic, next_user_);
+  const place::OccupancyMap& live = ledger_.occupancy();
   if (!staged) {
     // Sync: with the lock held across both stages, the live ledger IS the
     // snapshot, so the commit validates without re-placing. This is also
     // the reference semantics submitAll must reproduce bit-identically.
-    return commitSpeculative(compileSpeculative(req, scope, occ_, &arena_),
-                             req);
+    return commitSpeculative(
+        compileSpeculative(req, std::move(scope), live, &arena_), req);
   }
   // A single-pod placement never reads beyond its domain's devices, so
   // its snapshot is sparse and pod-only (of() on an unlisted device fails
   // loudly, not silently); the escape path copies the full ledger.
   const place::OccupancyMap snapshot =
       scope.domain == scale::kCrossDomain
-          ? occ_
-          : place::OccupancyMap(&topo_, occ_, *scope.ratio);
+          ? live
+          : place::OccupancyMap(&topo_, live, *scope.ratio);
   ++inflight_staged_;
   const std::function<void()> gate = compile_gate_;
   lock.unlock();
   if (gate) gate();  // test hook: deterministic remove()-race window
-  Speculative spec = compileSpeculative(req, scope, snapshot, nullptr);
+  Speculative spec =
+      compileSpeculative(req, std::move(scope), snapshot, nullptr);
   lock.lock();
   --inflight_staged_;
   SubmitResult result = commitSpeculative(std::move(spec), req);
@@ -626,7 +560,7 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
   // A recover() completed while this submission compiled: its snapshot,
   // guessed id, and cancellation bookkeeping all describe the pre-crash
   // world. Refuse to commit into the new epoch; the caller may resubmit.
-  if (spec.epoch != epoch_) {
+  if (spec.scope.epoch != epoch_) {
     result.error = {ErrorCode::kUnavailable, Stage::kCommit,
                     "service recovered while the submission was in flight"};
     result.error.retryable = true;
@@ -655,7 +589,7 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
   // is name-blind, but the plan's instruction indices must reference the
   // program actually deployed — re-place rather than assume the lowering
   // emitted the identical instruction order.
-  const bool rename = spec.guessed_user != next_user_ &&
+  const bool rename = spec.scope.user != next_user_ &&
                       req.kind != SubmitRequest::Kind::kProgram;
   if (rename) {
     try {
@@ -678,21 +612,20 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
   // the tree is rebuilt over live health's partition. The commit stage
   // is serialized, so this happens at most once per submission. A single-pod
   // speculative plan validates against its pod's version counter: every
-  // mutation of a pod device bumps it (touchDevicesLocked), so commits
-  // confined to other pods never force a re-place here.
-  const bool health_moved = topo_.healthVersion() != spec.health_version;
+  // ledger mutation of a pod device bumps it, so commits confined to other
+  // pods never force a re-place here.
+  const bool health_moved =
+      topo_.healthVersion() != spec.scope.health_version;
   const bool occ_moved =
-      spec.domain != scale::kCrossDomain && domains_ != nullptr
-          ? domainVersionLocked(spec.domain) != spec.snapshot_version
-          : occ_version_ != spec.snapshot_version;
+      ledger_.version(spec.scope.domain) != spec.scope.version;
   if (rename || health_moved || occ_moved) {
     if (health_moved) {
       spec.in.tree.reset();
-      spec.partition = partitionLocked(topo_.healthView());
+      spec.scope.partition = partitionLocked(topo_.healthView());
     }
     try {
-      spec.plan = placeLocked(*spec.prog, req.traffic, *spec.partition, occ_,
-                              req.options, &spec.in);
+      spec.plan = placeLocked(*spec.prog, req.traffic, *spec.scope.partition,
+                              ledger_.occupancy(), req.options, &spec.in);
     } catch (...) {
       result.error = errorFromCurrentException(Stage::kCommit);
       result.compile_ms += msSince(t0);
@@ -707,7 +640,8 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
                                 req.options)) {
     result.error = placementFailure(
         result.plan, result.recompiled ? Stage::kCommit : Stage::kCompile);
-    annotateResourceFailure(&result.error, *spec.prog, occ_, topo_);
+    annotateResourceFailure(&result.error, *spec.prog, ledger_.occupancy(),
+                            topo_);
     result.compile_ms += msSince(t0);
     return result;
   }
@@ -730,17 +664,14 @@ void ClickIncService::commitAndDeployLocked(
     rec.prog = *prog;
     rec.plan = result->plan;
     rec.traffic = traffic;
-    rec.options = options;
-    rec.options.pool = nullptr;
+    rec.options = options;  // the pool and ratio scope are not serialized
     journalAppendLocked(durable::RecordType::kCommit,
                         durable::encodeCommit(rec));
   }
-  place::commitPlan(result->plan, *prog, occ_);
-  touchDevicesLocked(place::claimedDevices(result->plan));
+  ledger_.claim(result->plan, *prog);
   const int user = next_user_;
   result->user_id = user;
   auto journalAbort = [&] {
-    if (journal_ == nullptr || replaying_) return;
     durable::AbortRecord rec;
     rec.user = user;
     journalAppendLocked(durable::RecordType::kAbort,
@@ -755,10 +686,7 @@ void ClickIncService::commitAndDeployLocked(
     journalAbort();
     return;
   }
-  place::PlacementOptions stored = options;
-  stored.pool = nullptr;  // pools are borrowed; re-resolved at failover
-  stored.ratio_devices = nullptr;
-  deployed_[user] = {prog, result->plan, traffic, stored};
+  ledger_.add(user, {prog, result->plan, traffic, options});
 
   // Verification gate: audit the committed state scoped to this tenant
   // and the devices its plan touches (cross-tenant occupancy/isolation on
@@ -771,7 +699,7 @@ void ClickIncService::commitAndDeployLocked(
     vopts.scope_devices = place::claimedDevices(result->plan);
     result->verify = auditLocked(vopts);
     if (!result->verify.ok()) {
-      deployed_.erase(user);
+      ledger_.erase(user);
       rollbackDeployLocked(user, prog, result->plan);
       result->error = {ErrorCode::kVerification, Stage::kCommit,
                        result->verify.summary()};
@@ -793,13 +721,17 @@ void ClickIncService::commitAndDeployLocked(
 void ClickIncService::rollbackDeployLocked(
     int user, const std::shared_ptr<ir::IrProgram>& prog,
     const place::PlacementPlan& plan) {
-  const std::set<int> devices = place::claimedDevices(plan);
+  stripLocked(user, place::claimedDevices(plan));
+  ledger_.release(plan, *prog);
+}
+
+void ClickIncService::stripLocked(int user, const std::set<int>& devices,
+                                  const std::function<bool(int)>& surviving) {
   for (int device : devices) {
+    if (surviving && !surviving(device)) continue;
     deviceProgram(device).removeUser(user, /*lazy=*/false);
     emu_.undeploy(device, user);
   }
-  place::releasePlan(plan, *prog, occ_);
-  touchDevicesLocked(devices);
 }
 
 void ClickIncService::deployPlan(
@@ -917,58 +849,9 @@ FailoverPolicy ClickIncService::failoverPolicy() {
   return failover_policy_;
 }
 
-FailoverReport ClickIncService::failNode(int node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  topo_.setNodeHealth(node, topo::Health::kDown);
-  return handleEventsLocked();
-}
-
-FailoverReport ClickIncService::drainNode(int node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  topo_.setNodeHealth(node, topo::Health::kDraining);
-  return handleEventsLocked();
-}
-
-FailoverReport ClickIncService::healNode(int node) {
-  std::lock_guard<std::mutex> lock(mu_);
-  topo_.setNodeHealth(node, topo::Health::kUp);
-  return handleEventsLocked();
-}
-
-FailoverReport ClickIncService::failLink(int a, int b) {
-  std::lock_guard<std::mutex> lock(mu_);
-  topo_.setLinkHealth(a, b, topo::Health::kDown);
-  return handleEventsLocked();
-}
-
-FailoverReport ClickIncService::healLink(int a, int b) {
-  std::lock_guard<std::mutex> lock(mu_);
-  topo_.setLinkHealth(a, b, topo::Health::kUp);
-  return handleEventsLocked();
-}
-
 FailoverReport ClickIncService::applyFault(const emu::FaultAction& action) {
   std::lock_guard<std::mutex> lock(mu_);
-  using K = emu::FaultAction::Kind;
-  switch (action.kind) {
-    case K::kNone:
-      break;
-    case K::kKillNode:
-      topo_.setNodeHealth(action.node, topo::Health::kDown);
-      break;
-    case K::kDrainNode:
-      topo_.setNodeHealth(action.node, topo::Health::kDraining);
-      break;
-    case K::kHealNode:
-      topo_.setNodeHealth(action.node, topo::Health::kUp);
-      break;
-    case K::kKillLink:
-      topo_.setLinkHealth(action.link_a, action.link_b, topo::Health::kDown);
-      break;
-    case K::kHealLink:
-      topo_.setLinkHealth(action.link_a, action.link_b, topo::Health::kUp);
-      break;
-  }
+  emu::applyAction(topo_, action);
   return handleEventsLocked();
 }
 
@@ -1021,13 +904,14 @@ verify::VerifyReport ClickIncService::verifyDeployments() {
 verify::VerifyReport ClickIncService::verifyDomain(int pod) {
   std::lock_guard<std::mutex> lock(mu_);
   verify::VerifyOptions opts;
-  if (domains_ != nullptr && pod >= 0 && pod < domains_->domainCount()) {
-    const auto& devs = domains_->domainDevices(pod);
+  const scale::DomainIndex* domains = ledger_.domainIndex();
+  if (domains != nullptr && pod >= 0 && pod < domains->domainCount()) {
+    const auto& devs = domains->domainDevices(pod);
     opts.scope_devices.insert(devs.begin(), devs.end());
     // Per-tenant checks cover every tenant whose plan touches the pod —
     // the same field-for-field occupancy reconciliation the full audit
     // runs, restricted to this domain's slice of the ledger.
-    for (const auto& [user, dep] : deployed_) {
+    for (const auto& [user, dep] : ledger_.deployments()) {
       for (int dev : place::claimedDevices(dep.plan)) {
         if (opts.scope_devices.count(dev) != 0) {
           opts.scope_users.insert(user);
@@ -1047,9 +931,9 @@ verify::VerifyReport ClickIncService::verifyDomain(int pod) {
 verify::Snapshot ClickIncService::verifySnapshot() {
   std::lock_guard<std::mutex> lock(mu_);
   verify::Snapshot snap(&topo_);
-  snap.occ = occ_;
+  snap.occ = ledger_.occupancy();
   snap.plan_options.fuse = emu_.options().fuse_plans;
-  for (const auto& [user, dep] : deployed_) {
+  for (const auto& [user, dep] : ledger_.deployments()) {
     snap.tenants.push_back({user, *dep.prog, dep.plan});
   }
   return snap;
@@ -1057,9 +941,10 @@ verify::Snapshot ClickIncService::verifySnapshot() {
 
 verify::VerifyReport ClickIncService::auditLocked(
     const verify::VerifyOptions& opts) {
+  const auto& deployed = ledger_.deployments();
   std::vector<verify::TenantView> views;
-  views.reserve(deployed_.size());
-  for (const auto& [user, dep] : deployed_) {
+  views.reserve(deployed.size());
+  for (const auto& [user, dep] : deployed) {
     views.push_back({user, dep.prog.get(), &dep.plan});
   }
   verify::VerifyOptions run = opts;
@@ -1069,17 +954,13 @@ verify::VerifyReport ClickIncService::auditLocked(
   run.plan_options = {};
   run.plan_options.fuse = emu_.options().fuse_plans;
   run.plan_cache = &plan_cache_;
-  return verify::verifyDeployments(views, topo_, occ_, run);
+  return verify::verifyDeployments(views, topo_, ledger_.occupancy(), run);
 }
 
 void ClickIncService::wipeDeviceLocked(int node) {
-  const auto& n = topo_.node(node);
-  if (n.programmable) {
-    occ_.of(node) = place::DeviceOccupancy::fresh(n.model);
-  }
+  ledger_.wipe(node);
   emu_.undeployDevice(node);
   device_programs_.erase(node);
-  touchDevicesLocked({node});
 }
 
 FailoverReport ClickIncService::handleEventsLocked() {
@@ -1204,7 +1085,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
   const topo::HealthView eff = effectiveHealthLocked();
   std::vector<int> affected;
   std::set<int> blast;
-  for (const auto& [user, dep] : deployed_) {
+  for (const auto& [user, dep] : ledger_.deployments()) {
     const std::set<int> devs = place::claimedDevices(dep.plan);
     bool hit = false;
     if (devs.empty()) {
@@ -1286,7 +1167,7 @@ TenantRecovery ClickIncService::recoverTenantLocked(
     int user, const topo::EcPartition& partition) {
   TenantRecovery rec;
   rec.user_id = user;
-  const Deployed old = deployed_.at(user);
+  const Deployed old = ledger_.deployments().at(user);
 
   auto surviving = [&](int dev) {
     return topo_.nodeHealth(dev) != topo::Health::kDown;
@@ -1296,9 +1177,8 @@ TenantRecovery ClickIncService::recoverTenantLocked(
   // them (claims on Down devices died with the device wipe). The old
   // data-plane — device programs and emulator entries — stays live until
   // the replacement commits below: make-before-break.
-  place::releasePlan(old.plan, *old.prog, occ_,
-                     [&](int dev) { return !surviving(dev); });
-  touchDevicesLocked(place::claimedDevices(old.plan));
+  ledger_.release(old.plan, *old.prog,
+                  [&](int dev) { return !surviving(dev); });
 
   // 2. Re-place against the degraded topology (dead devices are not in
   // the EC tree; draining devices forward but take no placements). The
@@ -1306,46 +1186,22 @@ TenantRecovery ClickIncService::recoverTenantLocked(
   // The stored options carry no pool or ratio scope: both are service
   // config, re-resolved here.
   place::PlacementPlan new_plan;
-  ServiceError err;
-  bool placed = false;
   try {
-    new_plan =
-        placeLocked(*old.prog, old.traffic, partition, occ_, old.options);
+    new_plan = placeLocked(*old.prog, old.traffic, partition,
+                           ledger_.occupancy(), old.options);
     cumulative_stats_.add(new_plan.stats);
-    placed = new_plan.feasible;
-    if (!placed) err = placementFailure(new_plan, Stage::kFailover);
   } catch (...) {
-    err = errorFromCurrentException(Stage::kFailover);
+    new_plan.feasible = false;
   }
 
-  bool server_only = false;
-  if (!placed && failover_policy_.server_fallback) {
-    // Server-only degradation: a feasible plan with no device
-    // assignments. The tenant's computation falls back to its end hosts,
-    // its traffic crosses the fabric as plain packets, and the program is
-    // preserved for a later upgrade on heal.
+  // Server-only degradation when no switch placement exists: a feasible
+  // plan with no device assignments. The tenant's computation falls back
+  // to its end hosts, its traffic crosses the fabric as plain packets,
+  // and the program is preserved for a later upgrade on heal.
+  const bool server_only = !new_plan.feasible;
+  if (server_only) {
     new_plan = place::PlacementPlan{};
     new_plan.feasible = true;
-    placed = true;
-    server_only = true;
-  }
-
-  const std::set<int> old_devices = place::claimedDevices(old.plan);
-
-  if (!placed) {
-    // Clean Infeasible: strip the old data-plane from surviving devices
-    // and forget the tenant. Every claim is already released or wiped.
-    for (int dev : old_devices) {
-      if (!surviving(dev)) continue;
-      deviceProgram(dev).removeUser(user, /*lazy=*/false);
-      emu_.undeploy(dev, user);
-    }
-    deployed_.erase(user);
-    touchDevicesLocked(old_devices);
-    rec.outcome = RecoveryOutcome::kInfeasible;
-    rec.error = err;
-    rec.segments_replaced = static_cast<int>(old.plan.assignments.size());
-    return rec;
   }
 
   // 3+4. Segment-diff pinning + make-before-break swap, shared with the
@@ -1378,6 +1234,17 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     bool incremental, const std::function<bool(int)>& surviving,
     Stage stage) {
   SwapResult res;
+  // Devices of the assignments `pinned` leaves out.
+  auto unpinnedDevices = [](const place::PlacementPlan& plan,
+                            const std::vector<char>& pinned) {
+    std::set<int> devs;
+    for (std::size_t i = 0; i < plan.assignments.size(); ++i) {
+      if (pinned[i]) continue;
+      const auto d = place::claimedDevices(plan.assignments[i]);
+      devs.insert(d.begin(), d.end());
+    }
+    return devs;
+  };
 
   // Segment diff (incremental mode): an assignment identical to an old
   // one — same block range, devices, and instruction placement — keeps
@@ -1404,17 +1271,9 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     bool demoted = true;
     while (demoted) {
       demoted = false;
-      std::set<int> churn;
-      for (std::size_t j = 0; j < old.plan.assignments.size(); ++j) {
-        if (pinned_old[j]) continue;
-        const auto d = place::claimedDevices(old.plan.assignments[j]);
-        churn.insert(d.begin(), d.end());
-      }
-      for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
-        if (pinned_new[i]) continue;
-        const auto d = place::claimedDevices(new_plan.assignments[i]);
-        churn.insert(d.begin(), d.end());
-      }
+      std::set<int> churn = unpinnedDevices(old.plan, pinned_old);
+      const auto moved = unpinnedDevices(new_plan, pinned_new);
+      churn.insert(moved.begin(), moved.end());
       for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
         if (!pinned_new[i]) continue;
         for (int dev : place::claimedDevices(new_plan.assignments[i])) {
@@ -1433,16 +1292,8 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
   // Swap: claim the new plan, strip the replaced part of the old
   // data-plane (pinned devices untouched by construction), deploy the new
   // segments.
-  place::commitPlan(new_plan, *old.prog, occ_);
-  touchDevicesLocked(place::claimedDevices(new_plan));
-  for (std::size_t j = 0; j < old.plan.assignments.size(); ++j) {
-    if (pinned_old[j]) continue;
-    for (int dev : place::claimedDevices(old.plan.assignments[j])) {
-      if (!surviving(dev)) continue;
-      deviceProgram(dev).removeUser(user, /*lazy=*/false);
-      emu_.undeploy(dev, user);
-    }
-  }
+  ledger_.claim(new_plan, *old.prog);
+  stripLocked(user, unpinnedDevices(old.plan, pinned_old), surviving);
 
   Impact impact;
   try {
@@ -1454,43 +1305,30 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     // deployment (pruned to surviving devices). State stores are
     // per-device and survive strips, so restored segments keep their
     // registers.
-    for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
-      if (pinned_new[i]) continue;
-      for (int dev : place::claimedDevices(new_plan.assignments[i])) {
-        deviceProgram(dev).removeUser(user, /*lazy=*/false);
-        emu_.undeploy(dev, user);
-      }
-    }
-    place::releasePlan(new_plan, *old.prog, occ_);
+    stripLocked(user, unpinnedDevices(new_plan, pinned_new));
+    ledger_.release(new_plan, *old.prog);
     place::PlacementPlan restore = old.plan;
+    const auto dead = [&](const auto& kv) { return !surviving(kv.first); };
     for (auto& a : restore.assignments) {
-      for (auto it = a.on_device.begin(); it != a.on_device.end();) {
-        it = surviving(it->first) ? std::next(it) : a.on_device.erase(it);
-      }
-      for (auto it = a.on_bypass.begin(); it != a.on_bypass.end();) {
-        it = surviving(it->first) ? std::next(it) : a.on_bypass.erase(it);
-      }
+      std::erase_if(a.on_device, dead);
+      std::erase_if(a.on_bypass, dead);
     }
-    place::commitPlan(restore, *old.prog, occ_);
-    touchDevicesLocked(place::claimedDevices(restore));
-    std::vector<char> skip(restore.assignments.size(), 0);
-    for (std::size_t j = 0; j < restore.assignments.size(); ++j) {
-      skip[j] = pinned_old[j];
-    }
+    ledger_.claim(restore, *old.prog);
     try {
+      // Pruning keeps every assignment, so the old pins still line up.
       Impact dummy;
-      deployPlan(user, old.prog, restore, &dummy, &skip);
-      deployed_[user] = {old.prog, restore, old.traffic, old.options};
+      deployPlan(user, old.prog, restore, &dummy, &pinned_old);
+      ledger_.add(user, {old.prog, restore, old.traffic, old.options});
       res.restored = true;  // old deployment live again
     } catch (...) {
       // Restore failed too: release everything and drop the tenant.
       rollbackDeployLocked(user, old.prog, restore);
-      deployed_.erase(user);
+      ledger_.erase(user);
     }
     return res;
   }
 
-  deployed_[user] = {old.prog, new_plan, old.traffic, old.options};
+  ledger_.add(user, {old.prog, new_plan, old.traffic, old.options});
   res.swapped = true;
   int pinned_count = 0;
   for (char p : pinned_new) pinned_count += p;
@@ -1504,20 +1342,20 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
 
 std::vector<defrag::TenantPlanView> ClickIncService::tenantViewsLocked()
     const {
+  const auto& deployed = ledger_.deployments();
   std::vector<defrag::TenantPlanView> views;
-  views.reserve(deployed_.size());
-  for (const auto& [user, dep] : deployed_) views.push_back({user, &dep.plan});
+  views.reserve(deployed.size());
+  for (const auto& [user, dep] : deployed) views.push_back({user, &dep.plan});
   return views;
 }
 
 ClickIncService::SwapResult ClickIncService::applyMigrationLocked(
     int user, const place::PlacementPlan& new_plan, Stage stage) {
-  const Deployed old = deployed_.at(user);
+  const Deployed old = ledger_.deployments().at(user);
   // Release every old claim. Migration only targets fully-healthy
   // footprints, and kMigrate / kMigrateAbort replay re-runs this very
   // function, so the occupancy arithmetic is bit-identical on both paths.
-  place::releasePlan(old.plan, *old.prog, occ_);
-  touchDevicesLocked(place::claimedDevices(old.plan));
+  ledger_.release(old.plan, *old.prog);
   return swapPlanLocked(user, old, new_plan, /*incremental=*/true,
                         [](int) { return true; }, stage);
 }
@@ -1527,8 +1365,8 @@ DefragReport ClickIncService::defragmentLocked(
   DefragReport report;
   report.drops_before = emu_.stats().packets_dropped;
   const auto views = tenantViewsLocked();
-  report.before =
-      defrag::scoreFragmentation(topo_, occ_, views, domains_.get(), opts);
+  report.before = defrag::scoreFragmentation(topo_, ledger_.occupancy(), views,
+                                             ledger_.domainIndex(), opts);
   const auto victims = defrag::selectVictims(report.before, views, opts);
   // The effective view's partition, built on the first victim that
   // re-places and shared by the rest (migrations never move health).
@@ -1538,9 +1376,9 @@ DefragReport ClickIncService::defragmentLocked(
     MigrationRecord mig;
     mig.user_id = v.user;
     mig.evacuated = v.evacuate;
-    const auto it = deployed_.find(v.user);
-    if (it == deployed_.end()) continue;
-    const Deployed old = it->second;  // copy: the swap rewrites deployed_
+    const auto it = ledger_.deployments().find(v.user);
+    if (it == ledger_.deployments().end()) continue;
+    const Deployed old = it->second;  // copy: the swap rewrites the ledger
 
     // Unhealthy footprints belong to the failover pipeline, not defrag.
     bool healthy = true;
@@ -1564,8 +1402,8 @@ DefragReport ClickIncService::defragmentLocked(
     // plan is guaranteed to fit the live ledger after the release.
     place::PlacementPlan new_plan;
     try {
-      const auto snapshot =
-          defrag::evacuationSnapshot(occ_, *old.prog, old.plan, v.evacuate);
+      const auto snapshot = defrag::evacuationSnapshot(
+          ledger_.occupancy(), *old.prog, old.plan, v.evacuate);
       if (partition == nullptr) {
         partition = partitionLocked(effectiveHealthLocked());
       }
@@ -1604,7 +1442,6 @@ DefragReport ClickIncService::defragmentLocked(
                           durable::encodeMigrate(rec));
     }
     auto journalMigrateAbort = [&] {
-      if (journal_ == nullptr || replaying_) return;
       durable::MigrateAbortRecord rec;
       rec.user = v.user;
       rec.plan = old.plan;
@@ -1612,7 +1449,6 @@ DefragReport ClickIncService::defragmentLocked(
                           durable::encodeMigrateAbort(rec));
     };
     auto journalDrop = [&] {
-      if (journal_ == nullptr || replaying_) return;
       durable::RemoveRecord rec;
       rec.user = v.user;
       rec.lazy = false;
@@ -1685,8 +1521,10 @@ DefragReport ClickIncService::defragmentLocked(
     report.migrations.push_back(std::move(mig));
   }
 
-  report.after = defrag::scoreFragmentation(topo_, occ_, tenantViewsLocked(),
-                                            domains_.get(), opts);
+  report.after =
+      defrag::scoreFragmentation(topo_, ledger_.occupancy(),
+                                 tenantViewsLocked(), ledger_.domainIndex(),
+                                 opts);
   report.drops_after = emu_.stats().packets_dropped;
   report.ok = report.dropped == 0;
   return report;
@@ -1717,14 +1555,16 @@ bool ClickIncService::reactiveCompactionLocked(
     const place::PlacementOptions& options) {
   if (!defrag_policy_.reactive || replaying_) return false;
   if (!result->plan.resource_limited) return false;
-  if (!defrag::diagnoseStranded(prog, occ_, topo_).stranded) return false;
+  if (!defrag::diagnoseStranded(prog, ledger_.occupancy(), topo_).stranded) {
+    return false;
+  }
   const DefragReport dr = defragmentLocked(defrag_policy_.options);
   result->compaction_migrations = dr.migrated;
   if (dr.migrated == 0) return false;
   try {
     const auto partition = partitionLocked(effectiveHealthLocked());
     place::PlacementPlan plan =
-        placeLocked(prog, traffic, *partition, occ_, options);
+        placeLocked(prog, traffic, *partition, ledger_.occupancy(), options);
     cumulative_stats_.add(plan.stats);
     if (!plan.feasible) return false;  // the original failure plan stands
     result->plan = std::move(plan);
@@ -1770,11 +1610,9 @@ topo::HealthView ClickIncService::effectiveHealthLocked() const {
 }
 
 void ClickIncService::resetStateLocked() {
-  deployed_.clear();
+  ledger_.reset();
   device_programs_.clear();
   emu_.reset();
-  occ_ = place::OccupancyMap(&topo_);
-  touchAllDomainsLocked();
   next_user_ = 1;
   processed_health_version_ = 0;
   journaled_health_version_ = 0;
@@ -1790,7 +1628,7 @@ void ClickIncService::resetStateLocked() {
 void ClickIncService::attachJournal(durable::JournalSink* sink) {
   std::lock_guard<std::mutex> lock(mu_);
   CLICKINC_CHECK(sink != nullptr, "attachJournal: null sink");
-  CLICKINC_CHECK(deployed_.empty() && topo_.healthVersion() == 0,
+  CLICKINC_CHECK(ledger_.deployments().empty() && topo_.healthVersion() == 0,
                  "attachJournal: service must be fresh "
                  "(use recover() to attach to a used journal)");
   const auto scan = durable::scanJournal(sink->readAll());
@@ -1835,14 +1673,14 @@ durable::CheckpointRecord ClickIncService::buildCheckpointLocked() {
   }
   for (const auto& n : topo_.nodes()) {
     if (!n.programmable) continue;
-    const auto& occ = occ_.of(n.id);
+    const auto& occ = ledger_.occupancy().of(n.id);
     durable::CheckpointDevice dev;
     dev.node = n.id;
     dev.free_stage = occ.free_stage;
     dev.free_whole = occ.free_whole;
     cp.devices.push_back(std::move(dev));
   }
-  for (const auto& [user, dep] : deployed_) {
+  for (const auto& [user, dep] : ledger_.deployments()) {
     durable::CheckpointTenant t;
     t.user = user;
     t.prog = *dep.prog;
@@ -1887,26 +1725,28 @@ void ClickIncService::restoreCheckpointLocked(
   last_disturb_ = cp.last_disturb;
   // Ledger verbatim: tenants are re-deployed below WITHOUT re-claiming —
   // the checkpointed free vectors already account for every claim.
-  for (const auto& dev : cp.devices) {
-    auto& occ = occ_.of(dev.node);
-    occ.free_stage = dev.free_stage;
-    occ.free_whole = dev.free_whole;
-  }
-  touchAllDomainsLocked();
+  ledger_.restore(cp.devices);
   for (const auto& t : cp.tenants) {
     CLICKINC_CHECK(durable::planFingerprint(t.plan) == t.plan_fp,
                    cat("checkpoint restore: plan fingerprint mismatch for "
                        "user ",
                        t.user));
-    auto prog = std::make_shared<ir::IrProgram>(t.prog);
-    validateReplayPlan(t.plan, *prog, occ_);
-    Impact impact;
-    deployPlan(t.user, prog, t.plan, &impact);
-    place::PlacementOptions stored = t.options;
-    stored.pool = nullptr;
-    stored.ratio_devices = nullptr;
-    deployed_[t.user] = {prog, t.plan, t.traffic, stored};
+    redeployLocked(t.user, t.prog, t.plan, t.traffic, t.options,
+                   /*claim=*/false);
   }
+}
+
+void ClickIncService::redeployLocked(int user, ir::IrProgram prog,
+                                     const place::PlacementPlan& plan,
+                                     const topo::TrafficSpec& traffic,
+                                     const place::PlacementOptions& options,
+                                     bool claim) {
+  auto shared = std::make_shared<ir::IrProgram>(std::move(prog));
+  validateReplayPlan(plan, *shared, ledger_.occupancy());
+  if (claim) ledger_.claim(plan, *shared);
+  Impact impact;
+  deployPlan(user, shared, plan, &impact);
+  ledger_.add(user, {shared, plan, traffic, options});
 }
 
 void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
@@ -1917,37 +1757,28 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
       throw InternalError("checkpoint record inside the replay suffix");
     case durable::RecordType::kCommit: {
       auto cr = durable::decodeCommit(rec.payload);
-      auto prog = std::make_shared<ir::IrProgram>(std::move(cr.prog));
-      validateReplayPlan(cr.plan, *prog, occ_);
-      place::commitPlan(cr.plan, *prog, occ_);
-      touchDevicesLocked(place::claimedDevices(cr.plan));
-      Impact impact;
-      deployPlan(cr.user, prog, cr.plan, &impact);
-      place::PlacementOptions stored = cr.options;
-      stored.pool = nullptr;
-      stored.ratio_devices = nullptr;
-      deployed_[cr.user] = {prog, cr.plan, cr.traffic, stored};
+      redeployLocked(cr.user, std::move(cr.prog), cr.plan, cr.traffic,
+                     cr.options, /*claim=*/true);
       next_user_ = std::max(next_user_, cr.user + 1);
       break;
     }
     case durable::RecordType::kAbort: {
       const auto ar = durable::decodeAbort(rec.payload);
-      auto it = deployed_.find(ar.user);
-      CLICKINC_CHECK(it != deployed_.end(),
+      const auto it = ledger_.deployments().find(ar.user);
+      CLICKINC_CHECK(it != ledger_.deployments().end(),
                      cat("abort replay: user ", ar.user, " not deployed"));
       rollbackDeployLocked(ar.user, it->second.prog, it->second.plan);
-      deployed_.erase(it);
+      ledger_.erase(ar.user);
       // The id was never published; the abort rewinds the assignment.
       next_user_ = ar.user;
       break;
     }
     case durable::RecordType::kRemove: {
       const auto rr = durable::decodeRemove(rec.payload);
-      auto it = deployed_.find(rr.user);
-      CLICKINC_CHECK(it != deployed_.end(),
+      CLICKINC_CHECK(ledger_.deployments().count(rr.user) != 0,
                      cat("remove replay: user ", rr.user, " not deployed"));
       RemoveResult out;
-      doRemoveLocked(it, rr.user, rr.lazy, &out);
+      doRemoveLocked(rr.user, rr.lazy, &out);
       break;
     }
     case durable::RecordType::kHealth: {
@@ -1981,14 +1812,14 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
     }
     case durable::RecordType::kMigrate: {
       auto mr = durable::decodeMigrate(rec.payload);
-      auto it = deployed_.find(mr.user);
-      CLICKINC_CHECK(it != deployed_.end(),
+      const auto it = ledger_.deployments().find(mr.user);
+      CLICKINC_CHECK(it != ledger_.deployments().end(),
                      cat("migrate replay: user ", mr.user, " not deployed"));
       CLICKINC_CHECK(
           durable::planFingerprint(it->second.plan) == mr.old_plan_fp,
           cat("migrate replay: old-plan fingerprint mismatch for user ",
               mr.user));
-      validateReplayPlan(mr.plan, *it->second.prog, occ_);
+      validateReplayPlan(mr.plan, *it->second.prog, ledger_.occupancy());
       const SwapResult swap =
           applyMigrationLocked(mr.user, mr.plan, Stage::kRecovery);
       CLICKINC_CHECK(swap.swapped,
@@ -1998,11 +1829,11 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
     }
     case durable::RecordType::kMigrateAbort: {
       auto mr = durable::decodeMigrateAbort(rec.payload);
-      auto it = deployed_.find(mr.user);
+      const auto it = ledger_.deployments().find(mr.user);
       CLICKINC_CHECK(
-          it != deployed_.end(),
+          it != ledger_.deployments().end(),
           cat("migrate-abort replay: user ", mr.user, " not deployed"));
-      validateReplayPlan(mr.plan, *it->second.prog, occ_);
+      validateReplayPlan(mr.plan, *it->second.prog, ledger_.occupancy());
       const SwapResult swap =
           applyMigrationLocked(mr.user, mr.plan, Stage::kRecovery);
       CLICKINC_CHECK(swap.swapped,
@@ -2066,7 +1897,7 @@ RecoveryReport ClickIncService::recover(durable::JournalSink* sink) {
       throw InternalError(
           cat("post-recovery audit failed: ", rep.verify.summary()));
     }
-    rep.tenants_restored = static_cast<int>(deployed_.size());
+    rep.tenants_restored = static_cast<int>(ledger_.deployments().size());
     rep.ok = true;
   } catch (const std::exception& e) {
     // Never leave a half-replayed service: empty, journal detached, and a

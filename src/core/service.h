@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "core/api.h"
+#include "core/ledger.h"
 #include "durable/journal.h"
 #include "durable/serialize.h"
 #include "emu/emulator.h"
@@ -131,15 +132,24 @@ class ClickIncService {
   // against the degraded topology (make-before-break; see
   // docs/failures.md#failover-lifecycle). Healing a node reboots it:
   // occupancy, device program, and emulator state come back fresh.
-  FailoverReport failNode(int node);
-  FailoverReport drainNode(int node);
-  FailoverReport healNode(int node);
-  FailoverReport failLink(int a, int b);
-  FailoverReport healLink(int a, int b);
-
-  // Applies one FaultInjector action (kNone is a no-op) and handles the
-  // resulting failure events. Lock-safe against concurrent submits.
+  // applyFault runs one FaultInjector action (kNone is a no-op); the five
+  // named transitions are shorthands for it.
   FailoverReport applyFault(const emu::FaultAction& action);
+  FailoverReport failNode(int node) {
+    return applyFault({emu::FaultAction::Kind::kKillNode, node});
+  }
+  FailoverReport drainNode(int node) {
+    return applyFault({emu::FaultAction::Kind::kDrainNode, node});
+  }
+  FailoverReport healNode(int node) {
+    return applyFault({emu::FaultAction::Kind::kHealNode, node});
+  }
+  FailoverReport failLink(int a, int b) {
+    return applyFault({emu::FaultAction::Kind::kKillLink, -1, a, b});
+  }
+  FailoverReport healLink(int a, int b) {
+    return applyFault({emu::FaultAction::Kind::kHealLink, -1, a, b});
+  }
 
   // Seeded chaos driving: armFaultInjector binds (or re-seeds) an
   // injector over this service's topology; each stepFault() draws one
@@ -263,26 +273,27 @@ class ClickIncService {
 
   // --- placement domains (docs/scale.md) ---
 
-  // Shards the occupancy snapshot, IntraMemo, and optimistic-concurrency
-  // version by pod (scale::DomainIndex). A submission whose traffic stays
-  // inside one pod compiles against a sparse pod-only snapshot, memoizes
-  // into its pod's IntraMemo, averages the adaptive-weight ratio over pod
-  // devices only, and re-places at commit iff *its pod's* version moved —
-  // concurrent submitAll batches against disjoint pods never invalidate
-  // each other. Cross-pod traffic escapes to the full-ledger path,
-  // validated against the global version exactly as before. With sharding
-  // on, submitAll stays bit-identical to sequential submits (the
-  // per-domain version subsumes every mutation of domain devices).
-  // Quiescent-only, like setConcurrency: joins async submissions; do not
-  // call concurrently with an in-flight submitAll.
+  // Shards the occupancy snapshot, IntraMemo, and the ledger's
+  // optimistic-concurrency version by pod (scale::DomainIndex). A
+  // submission whose traffic stays inside one pod compiles against a
+  // sparse pod-only snapshot, memoizes into its pod's IntraMemo, averages
+  // the adaptive-weight ratio over pod devices only, and re-places at
+  // commit iff *its pod's* version moved. Cross-pod traffic escapes to the
+  // full-ledger path and the global version. submitAll stays
+  // bit-identical to sequential submits. Quiescent-only, like
+  // setConcurrency: joins async submissions; do not call concurrently
+  // with an in-flight submitAll.
   void setDomainSharding(bool on);
-  bool domainSharding();
   // The live index, or nullptr when sharding is off.
-  const scale::DomainIndex* domainIndex() const { return domains_.get(); }
+  const scale::DomainIndex* domainIndex() const {
+    return ledger_.domainIndex();
+  }
 
   const topo::Topology& topology() const { return topo_; }
   emu::Emulator& emulator() { return emu_; }
-  place::OccupancyMap& occupancy() { return occ_; }
+  // The live ledger's free-resource map. Mutating it bypasses the
+  // ledger's version bookkeeping; only verifier tests do, on purpose.
+  place::OccupancyMap& occupancy() { return ledger_.rawOccupancy(); }
   const modules::ModuleLibrary& library() const { return lib_; }
   synth::DeviceProgram& deviceProgram(int node);
 
@@ -306,15 +317,12 @@ class ClickIncService {
   ir::ExecPlanCache& execPlanCache() { return plan_cache_; }
   const ir::ExecPlanCache& execPlanCache() const { return plan_cache_; }
 
-  struct Deployed {
-    std::shared_ptr<ir::IrProgram> prog;
-    place::PlacementPlan plan;
-    topo::TrafficSpec traffic;
-    // Placement options of the original submission, kept so failover
-    // re-placement honours them (pool is re-resolved, never stored).
-    place::PlacementOptions options;
-  };
-  const std::map<int, Deployed>& deployments() const { return deployed_; }
+  const std::map<int, Deployed>& deployments() const {
+    return ledger_.deployments();
+  }
+  // The occupancy ledger itself (occupancy, deployments, versions). Like
+  // the accessors above, an unlocked read for quiescent inspection.
+  const Ledger& ledger() const { return ledger_; }
 
   // Pods whose traffic traverses any of `devices`.
   std::set<int> podsCrossing(const std::set<int>& devices) const;
@@ -381,8 +389,7 @@ class ClickIncService {
   // request); a null `arena` gives the compile private scratch over
   // scope.memo. The sync caller holds the lock and passes the live
   // ledger and the service arena.
-  Speculative compileSpeculative(SubmitRequest& req,
-                                 const CompileScope& scope,
+  Speculative compileSpeculative(SubmitRequest& req, CompileScope scope,
                                  const place::OccupancyMap& occ,
                                  place::PlacementArena* arena);
 
@@ -396,8 +403,6 @@ class ClickIncService {
   // submitOnce wrapped in the request's effective retry policy.
   SubmitResult submitWithRetry(SubmitRequest req, bool staged);
 
-  RetryPolicy effectivePolicy(const SubmitRequest& req);
-
   // Claims resources, deploys, registers the user. On deploy failure the
   // partial deployment is rolled back and *result carries the error.
   void commitAndDeployLocked(SubmitResult* result,
@@ -406,6 +411,10 @@ class ClickIncService {
                              const place::PlacementOptions& options);
   void rollbackDeployLocked(int user, const std::shared_ptr<ir::IrProgram>& prog,
                             const place::PlacementPlan& plan);
+  // Eagerly strips `user`'s device programs and emulator entries from the
+  // `devices` that `surviving` accepts (nullptr: all). Occupancy untouched.
+  void stripLocked(int user, const std::set<int>& devices,
+                   const std::function<bool(int)>& surviving = nullptr);
 
   // `skip_assignments` (aligned with plan.assignments, nullptr = none)
   // omits pinned segments during failover redeploys.
@@ -432,13 +441,13 @@ class ClickIncService {
   //
   // Shared by failover re-placement (recoverTenantLocked) and the
   // defragmentation executor: `old`'s surviving claims are already
-  // released and `new_plan` is committed + deployed segment-by-segment
+  // released and `new_plan` is claimed + deployed segment-by-segment
   // with unchanged segments pinned; on any failure the old plan is
   // restored (or, if the restore deploy also fails, the tenant is
-  // dropped). The caller owns journaling and deployed_ registration of
-  // the *success* path; failure paths update deployed_ here.
+  // dropped). The swap registers whichever deployment results in the
+  // ledger; the caller owns journaling.
   struct SwapResult {
-    bool swapped = false;    // new plan live; deployed_[user] updated
+    bool swapped = false;    // new plan live and registered
     bool restored = false;   // !swapped: old plan live again
     // !swapped && !restored: tenant dropped, claims released
     int segments_pinned = 0;
@@ -489,45 +498,31 @@ class ClickIncService {
   // injector cleared; in-flight ticket bookkeeping is left alone).
   void resetStateLocked();
   // The state-mutating tail of remove() after lookup and cancellation
-  // handling; `it` points into deployed_.
-  void doRemoveLocked(std::map<int, Deployed>::iterator it, int user_id,
-                      bool lazy, RemoveResult* out);
+  // handling; `user_id` must be deployed.
+  void doRemoveLocked(int user_id, bool lazy, RemoveResult* out);
   durable::CheckpointRecord buildCheckpointLocked();
   void restoreCheckpointLocked(const durable::CheckpointRecord& cp);
   void applyRecordLocked(const durable::RecordRef& rec);
+  // Re-deploys one decoded tenant (kCommit replay, checkpoint restore):
+  // validates the plan, claims it unless the ledger already accounts for
+  // it (a restored checkpoint), deploys and registers it.
+  void redeployLocked(int user, ir::IrProgram prog,
+                      const place::PlacementPlan& plan,
+                      const topo::TrafficSpec& traffic,
+                      const place::PlacementOptions& options, bool claim);
 
   // Runs the plan verifier over the given deployments view (lock held —
   // the verifier borrows live programs/plans/ledger).
   verify::VerifyReport auditLocked(const verify::VerifyOptions& opts);
 
-  // --- placement-domain internals (lock held; docs/scale.md) ---
-
-  // Domain of a request's traffic: its pod when sharding is on and every
-  // endpoint shares one pod, else scale::kCrossDomain.
-  int requestDomainLocked(const topo::TrafficSpec& traffic) const;
-  // The version a snapshot of `domain` must validate against (the pod's
-  // version, or occ_version_ for the cross-domain escape path).
-  std::uint64_t domainVersionLocked(int domain) const;
-  // Pod device list for the adaptive-ratio scope; nullptr on the escape
-  // path (service-wide ratio).
-  const std::vector<int>* domainDevicesOrNull(int domain) const;
-  // Pod-sharded IntraMemo handle; the global memo on the escape path.
-  std::shared_ptr<place::IntraMemo> domainMemoLocked(int domain);
-  // Occupancy-mutation bookkeeping: bumps the global version plus the
-  // domain version of every pod owning one of `devices`. Every former
-  // bare ++occ_version_ site with a known device set routes through here.
-  void touchDevicesLocked(const std::set<int>& devices);
-  // For wholesale mutations (reset, checkpoint restore).
-  void touchAllDomainsLocked();
-
   topo::Topology topo_;
   modules::ModuleLibrary lib_;
   synth::BaseProgram base_;
-  place::OccupancyMap occ_;
+  // Occupancy, deployments, versions and the pod index (core/ledger.h).
+  Ledger ledger_;
   ir::ExecPlanCache plan_cache_;  // must outlive emu_ (emulator keeps a ptr)
   emu::Emulator emu_;
   std::map<int, std::unique_ptr<synth::DeviceProgram>> device_programs_;
-  std::map<int, Deployed> deployed_;
   place::PlacementArena arena_;
   place::PlacementStats cumulative_stats_;
   // Set by setConcurrency(>1). shared_ptr so a pool swap cannot destroy
@@ -538,29 +533,22 @@ class ClickIncService {
   int next_user_ = 1;
 
   // Serializes the commit stage and every mutation of the shared state
-  // above (occupancy, deployments, device programs, emulator, arena).
+  // above (ledger, device programs, emulator, arena). The commit stage
+  // re-places a speculative plan iff the ledger version of its domain
+  // moved since its snapshot — the optimistic-concurrency validation.
+  // Health moves are validated separately against the topology's own
+  // health version.
   std::mutex mu_;
-  // Bumped on every occupancy mutation (commit / remove / rollback /
-  // failover); the commit stage re-places a speculative plan iff the
-  // version moved since its snapshot — the optimistic-concurrency
-  // validation. Health moves are validated separately against the
-  // topology's own health version.
-  std::uint64_t occ_version_ = 0;
   // The EC partition of the last health state a placement asked for
   // (partitionLocked). Immutable and shared: compile stages hold their own
   // reference across the unlocked compile, so a rebuild never frees one in
   // use.
   std::shared_ptr<const topo::EcPartition> partition_;
 
-  // Placement-domain state (guarded by mu_; rebuilt by setDomainSharding
-  // under quiescence, so compile stages may hold borrowed device-list
-  // pointers and memo handles across the unlocked compile). domains_ ==
-  // nullptr means sharding is off. domain_version_[pod] is bumped by
-  // touchDevicesLocked whenever a mutation touches a device of that pod;
-  // single-pod speculative plans validate against it instead of the
-  // global version.
-  std::unique_ptr<scale::DomainIndex> domains_;
-  std::vector<std::uint64_t> domain_version_;
+  // Per-pod IntraMemo shards (guarded by mu_; rebuilt with the ledger's
+  // pod index by setDomainSharding under quiescence, so compile stages may
+  // hold borrowed device-list pointers and memo handles across the
+  // unlocked compile). Empty when sharding is off.
   std::vector<std::shared_ptr<place::IntraMemo>> domain_memos_;
 
   // Failure-domain runtime state (all guarded by mu_).

@@ -155,7 +155,10 @@ StrandedDiagnosis diagnoseStranded(const ir::IrProgram& prog,
     for (const auto& stage : docc.free_stage) diag.aggregate_free.add(stage);
     ++diag.devices;
   }
-  diag.stranded = diag.demand.fitsWithin(diag.aggregate_free);
+  // Compaction only moves tenants between devices, so capacity cannot be
+  // stranded on a fabric with a single programmable device.
+  diag.stranded =
+      diag.devices >= 2 && diag.demand.fitsWithin(diag.aggregate_free);
   return diag;
 }
 

@@ -130,8 +130,9 @@ bool touchesAny(const place::PlacementPlan& plan,
 // the whole program's demand against the summed free capacity of every
 // programmable device in the ledger.
 struct StrandedDiagnosis {
-  // Aggregate free capacity could fit the demand: the failure is
-  // fragmentation (compaction may help), not capacity.
+  // At least two devices are aggregated and their summed free capacity
+  // could fit the demand: the failure is fragmentation (compaction may
+  // help), not capacity.
   bool stranded = false;
   int devices = 0;                        // devices aggregated
   device::ResourceDemand demand;          // whole-program demand

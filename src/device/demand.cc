@@ -1,5 +1,6 @@
 #include "device/demand.h"
 
+#include <limits>
 #include <set>
 
 #include "util/bits.h"
@@ -8,19 +9,30 @@ namespace clickinc::device {
 
 using ir::InstrClass;
 
+namespace {
+
+// acc += v for the non-negative demand fields, clamped at T's max
+// instead of wrapping.
+template <typename T>
+void addSaturating(T& acc, T v) {
+  if (__builtin_add_overflow(acc, v, &acc)) acc = std::numeric_limits<T>::max();
+}
+
+}  // namespace
+
 void ResourceDemand::add(const ResourceDemand& other) {
-  salus += other.salus;
-  alus += other.alus;
-  hash_units += other.hash_units;
-  tables += other.tables;
-  gateways += other.gateways;
-  special_fns += other.special_fns;
-  sram_bits += other.sram_bits;
-  tcam_bits += other.tcam_bits;
-  micro_instrs += other.micro_instrs;
-  dsps += other.dsps;
-  luts += other.luts;
-  ffs += other.ffs;
+  addSaturating(salus, other.salus);
+  addSaturating(alus, other.alus);
+  addSaturating(hash_units, other.hash_units);
+  addSaturating(tables, other.tables);
+  addSaturating(gateways, other.gateways);
+  addSaturating(special_fns, other.special_fns);
+  addSaturating(sram_bits, other.sram_bits);
+  addSaturating(tcam_bits, other.tcam_bits);
+  addSaturating(micro_instrs, other.micro_instrs);
+  addSaturating(dsps, other.dsps);
+  addSaturating(luts, other.luts);
+  addSaturating(ffs, other.ffs);
 }
 
 bool ResourceDemand::fitsWithin(const ResourceDemand& budget) const {

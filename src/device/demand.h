@@ -27,6 +27,9 @@ struct ResourceDemand {
   std::uint64_t luts = 0;
   std::uint64_t ffs = 0;
 
+  // Field-wise sum, saturating at each field's max: INT_MAX / UINT64_MAX
+  // are the "non-binding" budget sentinels (device/validate.cc), so a sum
+  // over budgets stays non-binding instead of wrapping.
   void add(const ResourceDemand& other);
   bool fitsWithin(const ResourceDemand& budget) const;
   std::uint64_t memoryBits() const { return sram_bits + tcam_bits; }

@@ -81,26 +81,31 @@ FaultAction FaultInjector::step() {
 }
 
 void FaultInjector::apply(const FaultAction& a) {
+  if (a.kind == FaultAction::Kind::kNone) return;
+  applyAction(*topo_, a);
+  history_.push_back(a);
+}
+
+void applyAction(topo::Topology& topo, const FaultAction& a) {
   switch (a.kind) {
     case FaultAction::Kind::kNone:
-      return;
+      break;
     case FaultAction::Kind::kKillNode:
-      topo_->setNodeHealth(a.node, topo::Health::kDown);
+      topo.setNodeHealth(a.node, topo::Health::kDown);
       break;
     case FaultAction::Kind::kDrainNode:
-      topo_->setNodeHealth(a.node, topo::Health::kDraining);
+      topo.setNodeHealth(a.node, topo::Health::kDraining);
       break;
     case FaultAction::Kind::kHealNode:
-      topo_->setNodeHealth(a.node, topo::Health::kUp);
+      topo.setNodeHealth(a.node, topo::Health::kUp);
       break;
     case FaultAction::Kind::kKillLink:
-      topo_->setLinkHealth(a.link_a, a.link_b, topo::Health::kDown);
+      topo.setLinkHealth(a.link_a, a.link_b, topo::Health::kDown);
       break;
     case FaultAction::Kind::kHealLink:
-      topo_->setLinkHealth(a.link_a, a.link_b, topo::Health::kUp);
+      topo.setLinkHealth(a.link_a, a.link_b, topo::Health::kUp);
       break;
   }
-  history_.push_back(a);
 }
 
 }  // namespace clickinc::emu

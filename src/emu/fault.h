@@ -43,6 +43,10 @@ struct FaultAction {
 
 const char* faultActionName(FaultAction::Kind k);
 
+// The action's health transition on `topo` (no-op for kNone); the one
+// mapping both FaultInjector::apply and ClickIncService::applyFault use.
+void applyAction(topo::Topology& topo, const FaultAction& a);
+
 struct FaultOptions {
   bool allow_links = true;   // also kill/heal links
   bool allow_drain = true;   // drain as well as hard-kill nodes

@@ -256,8 +256,7 @@ class TreePlacer {
       // segment that failed placement without being monotone-infeasible
       // failed for resource (capacity) reasons. The set of probed
       // segments is identical between the sequential and worker-pool
-      // paths (seg_probes/seg_misses parity), so this flag is
-      // deterministic across thread counts.
+      // paths, so this flag is deterministic across thread counts.
       for (const auto& seg : buf_.seg_cache) {
         if (seg.state == Segment::State::kDone && !seg.feasible &&
             !seg.monotone_infeasible) {
@@ -296,9 +295,6 @@ class TreePlacer {
     plan.hp = cut / cut_norm_;
     plan.gain = weights_.wt * plan.ht - weights_.wr * plan.hr -
                 weights_.wp * plan.hp;
-    // plan.stats was snapshotted before backtracking: the re-probes made
-    // while emitting assignments are guaranteed hits and would inflate
-    // the published cache rates.
     return plan;
   }
 
@@ -489,16 +485,9 @@ class TreePlacer {
     return p;
   }
 
-  // `count_probe == false` is the parallel prefill: it fills the slot
-  // (counting the miss) without counting a lookup, so that the DP loop's
-  // own probe — now a guaranteed hit — keeps seg_probes identical to the
-  // sequential run.
-  const Segment* cachedSegment(int node, int i, int j, WorkCtx& ctx,
-                               bool count_probe = true) {
+  const Segment* cachedSegment(int node, int i, int j, WorkCtx& ctx) {
     Segment& seg = segSlot(node, i, j);
-    if (count_probe) ++ctx.stats.seg_probes;
     if (seg.state == Segment::State::kDone) return &seg;
-    ++ctx.stats.seg_misses;
     seg.state = Segment::State::kDone;
     if (i == j) {
       seg.feasible = true;
@@ -665,8 +654,7 @@ class TreePlacer {
     std::vector<WorkCtx> sub(pairs.size());
     ctx.stats.parallel_tasks += static_cast<long>(pairs.size());
     pool_->parallelFor(pairs.size(), [&](std::size_t k) {
-      cachedSegment(node, pairs[k].first, pairs[k].second, sub[k],
-                    /*count_probe=*/false);
+      cachedSegment(node, pairs[k].first, pairs[k].second, sub[k]);
     });
     for (auto& s : sub) ctx.merge(s);
   }

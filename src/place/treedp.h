@@ -119,8 +119,6 @@ struct PlacementOptions {
 struct PlacementStats {
   long intra_calls = 0;      // placeCompact/placeExhaustive invocations
   long intra_memo_hits = 0;  // placements reused via the occupancy memo
-  long seg_probes = 0;       // segment-cache lookups
-  long seg_misses = 0;       // segment-cache fills
   long early_breaks = 0;     // server-chain inner loops cut short
   // Parallel-run accounting. Every search counter above is accumulated in
   // a per-task (per-thread) PlacementStats and merged in task order, so
@@ -134,8 +132,6 @@ struct PlacementStats {
   void add(const PlacementStats& o) {
     intra_calls += o.intra_calls;
     intra_memo_hits += o.intra_memo_hits;
-    seg_probes += o.seg_probes;
-    seg_misses += o.seg_misses;
     early_breaks += o.early_breaks;
     threads_used = threads_used > o.threads_used ? threads_used
                                                  : o.threads_used;
@@ -148,12 +144,10 @@ struct PlacementStats {
                       : static_cast<double>(intra_memo_hits) /
                             static_cast<double>(total);
   }
-  double segCacheHitRate() const {
-    return seg_probes == 0
-               ? 0.0
-               : static_cast<double>(seg_probes - seg_misses) /
-                     static_cast<double>(seg_probes);
-  }
+  // Always 0: each (node, i, j) segment slot is probed exactly once
+  // before the stats are snapshotted, so the segment cache never hits.
+  // Kept for readers of the historical hit-rate field.
+  double segCacheHitRate() const { return 0.0; }
 };
 
 namespace detail {

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -192,6 +194,30 @@ TEST(StrandedDiagnostic, ResourceExhaustionCarriesFragmentationVerdict) {
   EXPECT_FALSE(failed.error.stranded);
   EXPECT_NE(failed.error.detail.find("true exhaustion"), std::string::npos)
       << failed.error.detail;
+}
+
+// Pipeline devices report INT_MAX / UINT64_MAX ("non-binding") budgets for
+// micro-instructions, DSPs, LUTs and FFs in every stage. Summed over a
+// multi-device fabric those used to wrap — negative for an even count of
+// summed stages — so a tiny demand diagnosed as true exhaustion. The sum
+// now saturates and the verdict is stranded.
+TEST(StrandedDiagnostic, MultiDevicePipelineAggregateSaturates) {
+  ClickIncService svc(topo::Topology::chain(
+      {device::makeTofino(), device::makeTofino()}));
+  modules::ModuleLibrary lib;
+  const auto prog = lib.compileTemplate(
+      "DQAcc", "dq", {{"CacheDepth", 64}, {"CacheLen", 2}});
+  const auto diag =
+      defrag::diagnoseStranded(prog, svc.occupancy(), svc.topology());
+  EXPECT_EQ(diag.devices, 2);
+  EXPECT_EQ(diag.aggregate_free.micro_instrs,
+            std::numeric_limits<int>::max());
+  EXPECT_EQ(diag.aggregate_free.dsps, std::numeric_limits<int>::max());
+  EXPECT_EQ(diag.aggregate_free.luts,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(diag.aggregate_free.ffs,
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_TRUE(diag.stranded);
 }
 
 // --- migration executor --------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+
 #include "device/demand.h"
 #include "device/model.h"
 #include "device/validate.h"
@@ -123,6 +126,40 @@ TEST(Demand, TernaryUsesTcam) {
   const auto d = stateDemand(s);
   EXPECT_EQ(d.tcam_bits, 3200u);
   EXPECT_EQ(d.sram_bits, 1600u);
+}
+
+// INT_MAX / UINT64_MAX are the "non-binding" budget sentinels, so sums of
+// budgets must clamp there instead of wrapping.
+TEST(Demand, AddSaturatesEveryFieldAtItsMax) {
+  constexpr int kIntMax = std::numeric_limits<int>::max();
+  constexpr std::uint64_t kU64Max = std::numeric_limits<std::uint64_t>::max();
+  ResourceDemand budget;
+  budget.salus = budget.alus = budget.hash_units = budget.tables = kIntMax;
+  budget.gateways = budget.special_fns = budget.micro_instrs = kIntMax;
+  budget.dsps = kIntMax;
+  budget.sram_bits = budget.tcam_bits = budget.luts = budget.ffs = kU64Max;
+  ResourceDemand sum = budget;
+  sum.add(budget);
+  sum.add(budget);
+  EXPECT_EQ(sum, budget);
+
+  ResourceDemand small;
+  small.alus = 3;
+  small.luts = 7;
+  ResourceDemand near = budget;
+  near.alus = kIntMax - 1;
+  near.luts = kU64Max - 1;
+  near.add(small);
+  EXPECT_EQ(near.alus, kIntMax);
+  EXPECT_EQ(near.luts, kU64Max);
+
+  // Sums that fit are exact.
+  ResourceDemand exact;
+  exact.add(small);
+  exact.add(small);
+  EXPECT_EQ(exact.alus, 6);
+  EXPECT_EQ(exact.luts, 14u);
+  EXPECT_EQ(exact.salus, 0);
 }
 
 // --- validator ---

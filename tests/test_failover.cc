@@ -517,31 +517,6 @@ TEST(ServiceFailover, SeveredFabricDegradesToServerOnlyThenUpgrades) {
   EXPECT_TRUE(probe.delivered);
 }
 
-TEST(ServiceFailover, InfeasibleWithoutFallbackReleasesEverything) {
-  ClickIncService svc(topo::Topology::chain({device::makeTofino()}));
-  core::FailoverPolicy policy;
-  policy.server_fallback = false;
-  svc.setFailoverPolicy(policy);
-  const auto& topo = svc.topology();
-  const int d0 = topo.findNode("d0");
-  const auto r = svc.submit(SubmitRequest::fromTemplate(
-      "DQAcc", {{"CacheDepth", 64}, {"CacheLen", 2}},
-      trafficFor(topo, {"client"}, "server")));
-  ASSERT_TRUE(r.ok);
-
-  const auto report = svc.failNode(d0);
-  ASSERT_EQ(report.tenants.size(), 1u);
-  EXPECT_EQ(report.tenants[0].outcome, RecoveryOutcome::kInfeasible);
-  EXPECT_FALSE(report.tenants[0].error.ok());
-  EXPECT_TRUE(svc.deployments().empty());
-  for (const auto& n : topo.nodes()) {
-    if (n.programmable) {
-      EXPECT_EQ(place::occupancyFingerprint(svc.occupancy().of(n.id)),
-                freshFingerprint(n));
-    }
-  }
-}
-
 TEST(ServiceFailover, DrainMigratesWithoutBreakingTraffic) {
   ClickIncService svc(topo::Topology::chain(
       {device::makeTofino(), device::makeTofino()}));

@@ -74,8 +74,6 @@ void expectSearchStatsIdentical(const place::PlacementStats& par,
                                 const place::PlacementStats& seq) {
   EXPECT_EQ(par.intra_calls, seq.intra_calls);
   EXPECT_EQ(par.intra_memo_hits, seq.intra_memo_hits);
-  EXPECT_EQ(par.seg_probes, seq.seg_probes);
-  EXPECT_EQ(par.seg_misses, seq.seg_misses);
   EXPECT_EQ(par.early_breaks, seq.early_breaks);
 }
 

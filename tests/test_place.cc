@@ -513,13 +513,12 @@ TEST(PlacementStats, FastPathReportsCacheCounters) {
   opts.fast = true;
   const auto plan = placeProgram(dag, tree, topo, occ, opts);
   ASSERT_TRUE(plan.feasible) << plan.failure;
-  EXPECT_GT(plan.stats.seg_probes, 0);
   EXPECT_GT(plan.stats.intra_calls, 0);
   // EC nodes in the paper topology hold >= 2 identical replicas, so the
   // replica memo must fire.
   EXPECT_GT(plan.stats.intra_memo_hits, 0);
   EXPECT_GT(plan.stats.intraMemoHitRate(), 0.0);
-  EXPECT_GE(plan.stats.segCacheHitRate(), 0.0);
+  EXPECT_EQ(plan.stats.segCacheHitRate(), 0.0);
   // The reference path reports direct calls only.
   PlacementOptions ref;
   ref.fast = false;

@@ -424,6 +424,126 @@ TEST(DomainSharding, PerDomainAuditsReconcileWithGlobal) {
   EXPECT_TRUE(full.ok()) << full.summary();
 }
 
+// --- ledger versions: one bump per occupancy mutation -------------------
+
+struct Versions {
+  std::uint64_t global = 0;
+  std::vector<std::uint64_t> pods;
+};
+
+Versions versionsOf(const core::Ledger& ledger) {
+  Versions v;
+  v.global = ledger.version();
+  for (int d = 0; d < ledger.domainIndex()->domainCount(); ++d) {
+    v.pods.push_back(ledger.version(d));
+  }
+  return v;
+}
+
+std::set<int> podsOwning(const scale::DomainIndex& idx,
+                         const std::set<int>& devices) {
+  std::set<int> pods;
+  for (const int dev : devices) {
+    if (idx.domainOf(dev) != scale::kCrossDomain) {
+      pods.insert(idx.domainOf(dev));
+    }
+  }
+  return pods;
+}
+
+// `after` is `before` plus `bumps` on the global version and on every pod
+// in `pods`; every other pod is unchanged.
+void expectBumped(const Versions& before, const Versions& after,
+                  const std::set<int>& pods, std::uint64_t bumps = 1) {
+  EXPECT_EQ(after.global, before.global + bumps);
+  ASSERT_EQ(after.pods.size(), before.pods.size());
+  for (std::size_t d = 0; d < after.pods.size(); ++d) {
+    const std::uint64_t want =
+        before.pods[d] + (pods.count(static_cast<int>(d)) != 0 ? bumps : 0);
+    EXPECT_EQ(after.pods[d], want) << "pod " << d;
+  }
+}
+
+TEST(LedgerVersions, ClaimReleaseWipeBumpExactlyTheTouchedPods) {
+  const auto ft = scale::buildFatTree({});  // k=4, 2 hosts/ToR
+  core::ClickIncService svc(ft.topo);
+  topo::TrafficSpec intra;  // pod 1 only
+  intra.sources.push_back({ft.pods[1].hosts[0], 10.0});
+  intra.dst_host = ft.pods[1].hosts[2];
+  topo::TrafficSpec cross;  // pod 0 -> pod 3
+  cross.sources.push_back({ft.pods[0].hosts[0], 10.0});
+  cross.dst_host = ft.pods[3].hosts[1];
+  std::vector<int> users;
+  for (const auto& traffic : {intra, cross}) {
+    const auto r = svc.submit(core::SubmitRequest::fromTemplate(
+        "MLAgg",
+        {{"NumAgg", 128}, {"Dim", 8}, {"NumWorker", 2}, {"IsConvert", 0}},
+        traffic));
+    ASSERT_TRUE(r.ok) << r.error.message();
+    users.push_back(r.user_id);
+  }
+
+  core::Ledger ledger(&ft.topo);
+  ledger.setDomainSharding(true);
+  const auto& idx = *ledger.domainIndex();
+  for (const int user : users) {
+    const auto& dep = svc.deployments().at(user);
+    const auto devices = place::claimedDevices(dep.plan);
+    ASSERT_FALSE(devices.empty());
+    const auto pods = podsOwning(idx, devices);
+    auto before = versionsOf(ledger);
+    ledger.claim(dep.plan, *dep.prog);
+    expectBumped(before, versionsOf(ledger), pods);
+    before = versionsOf(ledger);
+    ledger.release(dep.plan, *dep.prog);
+    expectBumped(before, versionsOf(ledger), pods);
+  }
+  const auto before = versionsOf(ledger);
+  ledger.wipe(ft.pods[2].tors[0]);
+  expectBumped(before, versionsOf(ledger), {2});
+}
+
+TEST(LedgerVersions, CoreDeviceBumpsOnlyTheGlobalVersion) {
+  const auto ft = scale::buildFatTree({});
+  core::Ledger ledger(&ft.topo);
+  ledger.setDomainSharding(true);
+  for (const int core : ft.cores) {
+    const auto before = versionsOf(ledger);
+    ledger.wipe(core);
+    expectBumped(before, versionsOf(ledger), {});
+  }
+}
+
+// A failover swap whose deploy fails and restores the old plan performs
+// four ledger mutations — release old, claim new, release new, claim the
+// restore — and each one bumps the versions.
+TEST(LedgerVersions, RolledBackFailoverSwapLeavesVersionsBumped) {
+  const auto ft = scale::buildFatTree({});
+  core::ClickIncService svc(ft.topo);
+  svc.setDomainSharding(true);
+  topo::TrafficSpec traffic;
+  traffic.sources.push_back({ft.pods[0].hosts[0], 10.0});
+  traffic.dst_host = ft.pods[0].hosts[2];
+  const auto r = svc.submit(core::SubmitRequest::fromTemplate(
+      "MLAgg",
+      {{"NumAgg", 128}, {"Dim", 8}, {"NumWorker", 2}, {"IsConvert", 0}},
+      traffic));
+  ASSERT_TRUE(r.ok) << r.error.message();
+  const auto devices = place::claimedDevices(r.plan);
+  ASSERT_FALSE(devices.empty());
+  const std::uint64_t plan_fp = durable::planFingerprint(r.plan);
+
+  const auto before = versionsOf(svc.ledger());
+  svc.injectDeployFailureAfter(0);
+  const auto report = svc.drainNode(*devices.begin());
+  ASSERT_EQ(report.tenants.size(), 1u);
+  EXPECT_EQ(report.tenants[0].outcome, core::RecoveryOutcome::kPinned);
+  EXPECT_EQ(report.tenants[0].error.code, core::ErrorCode::kDeployFailed);
+  EXPECT_EQ(durable::planFingerprint(svc.deployments().at(r.user_id).plan),
+            plan_fp);
+  expectBumped(before, versionsOf(svc.ledger()), {0}, 4);
+}
+
 // --- churn harness -------------------------------------------------------
 
 TEST(ChurnDriver, SustainedChurnStaysSoundOnSmallTree) {
