@@ -60,7 +60,7 @@ enum class Stage {
   kCommit,   // occupancy validation + resource claim (serialized)
   kDeploy,   // synthesis + emulator deployment
   kRemove,   // remove() path
-  kFailover, // handleFailure() re-placement path
+  kFailover, // failover re-placement path (applyFault, processFailures)
   kRecovery, // recover() journal replay / checkpoint restore path
   kDefrag,   // defragment() migration path
 };

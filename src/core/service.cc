@@ -115,30 +115,6 @@ void validateReplayPlan(const place::PlacementPlan& plan,
   }
 }
 
-bool samePlacement(const place::IntraPlacement& a,
-                   const place::IntraPlacement& b) {
-  return a.instr_idxs == b.instr_idxs && a.stage_of == b.stage_of;
-}
-
-bool samePlacementMap(const std::map<int, place::IntraPlacement>& a,
-                      const std::map<int, place::IntraPlacement>& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
-                    [](const auto& x, const auto& y) {
-                      return x.first == y.first &&
-                             samePlacement(x.second, y.second);
-                    });
-}
-
-// Identical segment: same block range, same devices, same instruction
-// placement — the physical deployment would be bit-identical.
-bool sameAssignment(const place::NodeAssignment& a,
-                    const place::NodeAssignment& b) {
-  return a.from_block == b.from_block && a.to_block == b.to_block &&
-         a.bypass_from == b.bypass_from &&
-         samePlacementMap(a.on_device, b.on_device) &&
-         samePlacementMap(a.on_bypass, b.on_bypass);
-}
-
 }  // namespace
 
 // The block DAG and EC tree a placement runs on. A compile builds both;
@@ -688,25 +664,18 @@ void ClickIncService::commitAndDeployLocked(
   }
   ledger_.add(user, {prog, result->plan, traffic, options});
 
-  // Verification gate: audit the committed state scoped to this tenant
-  // and the devices its plan touches (cross-tenant occupancy/isolation on
-  // those devices covers every co-resident). A violation means the
-  // pipeline produced an inconsistent deployment — fail the submission
-  // and unwind it rather than publish a corrupt plan.
-  if (verify_policy_.at_commit && !replaying_) {
-    verify::VerifyOptions vopts;
-    vopts.scope_users = {user};
-    vopts.scope_devices = place::claimedDevices(result->plan);
-    result->verify = auditLocked(vopts);
-    if (!result->verify.ok()) {
-      ledger_.erase(user);
-      rollbackDeployLocked(user, prog, result->plan);
-      result->error = {ErrorCode::kVerification, Stage::kCommit,
-                       result->verify.summary()};
-      result->impact = Impact{};
-      journalAbort();
-      return;
-    }
+  // Verification gate: a violation means the pipeline produced an
+  // inconsistent deployment — fail the submission and unwind it rather
+  // than publish a corrupt plan.
+  result->verify = commitGateLocked(user, place::claimedDevices(result->plan));
+  if (!result->verify.ok()) {
+    ledger_.erase(user);
+    rollbackDeployLocked(user, prog, result->plan);
+    result->error = {ErrorCode::kVerification, Stage::kCommit,
+                     result->verify.summary()};
+    result->impact = Impact{};
+    journalAbort();
+    return;
   }
 
   result->impact.affected_pods = podsCrossing(result->impact.affected_devices);
@@ -844,11 +813,6 @@ void ClickIncService::setFailoverPolicy(FailoverPolicy policy) {
   failover_policy_ = policy;
 }
 
-FailoverPolicy ClickIncService::failoverPolicy() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failover_policy_;
-}
-
 FailoverReport ClickIncService::applyFault(const emu::FaultAction& action) {
   std::lock_guard<std::mutex> lock(mu_);
   emu::applyAction(topo_, action);
@@ -889,11 +853,6 @@ void ClickIncService::setCompileGate(std::function<void()> gate) {
 void ClickIncService::setVerifyPolicy(VerifyPolicy policy) {
   std::lock_guard<std::mutex> lock(mu_);
   verify_policy_ = policy;
-}
-
-ClickIncService::VerifyPolicy ClickIncService::verifyPolicy() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return verify_policy_;
 }
 
 verify::VerifyReport ClickIncService::verifyDeployments() {
@@ -937,6 +896,15 @@ verify::Snapshot ClickIncService::verifySnapshot() {
     snap.tenants.push_back({user, *dep.prog, dep.plan});
   }
   return snap;
+}
+
+verify::VerifyReport ClickIncService::commitGateLocked(
+    int user, std::set<int> devices) {
+  if (!verify_policy_.at_commit || replaying_) return {};
+  verify::VerifyOptions opts;
+  opts.scope_users = {user};
+  opts.scope_devices = std::move(devices);
+  return auditLocked(opts);
 }
 
 verify::VerifyReport ClickIncService::auditLocked(
@@ -1206,9 +1174,8 @@ TenantRecovery ClickIncService::recoverTenantLocked(
 
   // 3+4. Segment-diff pinning + make-before-break swap, shared with the
   // defragmentation executor (swapPlanLocked).
-  const SwapResult swap = swapPlanLocked(
-      user, old, new_plan, /*incremental=*/!server_only, surviving,
-      Stage::kFailover);
+  const SwapResult swap =
+      swapPlanLocked(user, old, new_plan, surviving, Stage::kFailover);
   if (!swap.swapped) {
     rec.error = swap.error;
     rec.outcome = swap.restored ? RecoveryOutcome::kPinned
@@ -1231,73 +1198,19 @@ TenantRecovery ClickIncService::recoverTenantLocked(
 
 ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     int user, const Deployed& old, const place::PlacementPlan& new_plan,
-    bool incremental, const std::function<bool(int)>& surviving,
-    Stage stage) {
+    const std::function<bool(int)>& surviving, Stage stage) {
   SwapResult res;
-  // Devices of the assignments `pinned` leaves out.
-  auto unpinnedDevices = [](const place::PlacementPlan& plan,
-                            const std::vector<char>& pinned) {
-    std::set<int> devs;
-    for (std::size_t i = 0; i < plan.assignments.size(); ++i) {
-      if (pinned[i]) continue;
-      const auto d = place::claimedDevices(plan.assignments[i]);
-      devs.insert(d.begin(), d.end());
-    }
-    return devs;
-  };
-
-  // Segment diff (incremental mode): an assignment identical to an old
-  // one — same block range, devices, and instruction placement — keeps
-  // its data-plane untouched, provided none of its devices is shared with
-  // a changed segment (strips are user-granular per device, so a shared
-  // device cannot keep one segment while replacing another; such pins are
-  // demoted to replacements).
-  std::vector<char> pinned_new(new_plan.assignments.size(), 0);
-  std::vector<char> pinned_old(old.plan.assignments.size(), 0);
-  if (incremental) {
-    std::vector<int> match(new_plan.assignments.size(), -1);
-    for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
-      for (std::size_t j = 0; j < old.plan.assignments.size(); ++j) {
-        if (pinned_old[j]) continue;
-        if (sameAssignment(new_plan.assignments[i],
-                           old.plan.assignments[j])) {
-          pinned_new[i] = 1;
-          pinned_old[j] = 1;
-          match[i] = static_cast<int>(j);
-          break;
-        }
-      }
-    }
-    bool demoted = true;
-    while (demoted) {
-      demoted = false;
-      std::set<int> churn = unpinnedDevices(old.plan, pinned_old);
-      const auto moved = unpinnedDevices(new_plan, pinned_new);
-      churn.insert(moved.begin(), moved.end());
-      for (std::size_t i = 0; i < new_plan.assignments.size(); ++i) {
-        if (!pinned_new[i]) continue;
-        for (int dev : place::claimedDevices(new_plan.assignments[i])) {
-          if (churn.count(dev) != 0) {
-            pinned_new[i] = 0;
-            pinned_old[static_cast<std::size_t>(match[i])] = 0;
-            match[i] = -1;
-            demoted = true;
-            break;
-          }
-        }
-      }
-    }
-  }
+  const place::PinDiff pins = place::pinUnchanged(old.plan, new_plan);
 
   // Swap: claim the new plan, strip the replaced part of the old
   // data-plane (pinned devices untouched by construction), deploy the new
   // segments.
   ledger_.claim(new_plan, *old.prog);
-  stripLocked(user, unpinnedDevices(old.plan, pinned_old), surviving);
+  stripLocked(user, pins.unpinned_old_devices, surviving);
 
   Impact impact;
   try {
-    deployPlan(user, old.prog, new_plan, &impact, &pinned_new);
+    deployPlan(user, old.prog, new_plan, &impact, &pins.pinned_new);
   } catch (...) {
     res.error = errorFromCurrentException(stage);
     // Roll the replacement back: strip its non-pinned deployments,
@@ -1305,7 +1218,7 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     // deployment (pruned to surviving devices). State stores are
     // per-device and survive strips, so restored segments keep their
     // registers.
-    stripLocked(user, unpinnedDevices(new_plan, pinned_new));
+    stripLocked(user, pins.unpinned_new_devices);
     ledger_.release(new_plan, *old.prog);
     place::PlacementPlan restore = old.plan;
     const auto dead = [&](const auto& kv) { return !surviving(kv.first); };
@@ -1317,7 +1230,7 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     try {
       // Pruning keeps every assignment, so the old pins still line up.
       Impact dummy;
-      deployPlan(user, old.prog, restore, &dummy, &pinned_old);
+      deployPlan(user, old.prog, restore, &dummy, &pins.pinned_old);
       ledger_.add(user, {old.prog, restore, old.traffic, old.options});
       res.restored = true;  // old deployment live again
     } catch (...) {
@@ -1330,11 +1243,10 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
 
   ledger_.add(user, {old.prog, new_plan, old.traffic, old.options});
   res.swapped = true;
-  int pinned_count = 0;
-  for (char p : pinned_new) pinned_count += p;
-  res.segments_pinned = pinned_count;
+  res.segments_pinned = static_cast<int>(
+      std::count(pins.pinned_new.begin(), pins.pinned_new.end(), 1));
   res.segments_replaced =
-      static_cast<int>(new_plan.assignments.size()) - pinned_count;
+      static_cast<int>(new_plan.assignments.size()) - res.segments_pinned;
   return res;
 }
 
@@ -1356,8 +1268,116 @@ ClickIncService::SwapResult ClickIncService::applyMigrationLocked(
   // footprints, and kMigrate / kMigrateAbort replay re-runs this very
   // function, so the occupancy arithmetic is bit-identical on both paths.
   ledger_.release(old.plan, *old.prog);
-  return swapPlanLocked(user, old, new_plan, /*incremental=*/true,
-                        [](int) { return true; }, stage);
+  return swapPlanLocked(user, old, new_plan, [](int) { return true; },
+                        stage);
+}
+
+MigrationRecord ClickIncService::migrateVictimLocked(
+    const defrag::VictimPick& v,
+    std::shared_ptr<const topo::EcPartition>& partition) {
+  MigrationRecord mig;
+  mig.user_id = v.user;
+  mig.evacuated = v.evacuate;
+  // A copy: the swap rewrites the ledger entry.
+  const Deployed old = ledger_.deployments().at(v.user);
+
+  // Unhealthy footprints belong to the failover pipeline, not defrag.
+  for (int dev : place::claimedDevices(old.plan)) {
+    if (topo_.nodeHealth(dev) != topo::Health::kUp) {
+      mig.error = {ErrorCode::kUnavailable, Stage::kDefrag,
+                   cat("user ", v.user, ": footprint not fully healthy")};
+      return mig;
+    }
+  }
+
+  // Re-place against the evacuation what-if snapshot: the victim's own
+  // claims freed everywhere, the hot targets zeroed out, so a feasible
+  // plan is guaranteed to fit the live ledger after the release.
+  place::PlacementPlan new_plan;
+  try {
+    const auto snapshot = defrag::evacuationSnapshot(
+        ledger_.occupancy(), *old.prog, old.plan, v.evacuate);
+    if (partition == nullptr) {
+      partition = partitionLocked(effectiveHealthLocked());
+    }
+    new_plan = placeLocked(*old.prog, old.traffic, *partition, snapshot,
+                           old.options);
+    cumulative_stats_.add(new_plan.stats);
+  } catch (...) {
+    mig.error = errorFromCurrentException(Stage::kDefrag);
+    return mig;
+  }
+  if (!new_plan.feasible) {
+    mig.error = placementFailure(new_plan, Stage::kDefrag);
+    return mig;
+  }
+  const std::uint64_t old_fp = durable::planFingerprint(old.plan);
+  if (defrag::touchesAny(new_plan, v.evacuate) ||
+      durable::planFingerprint(new_plan) == old_fp) {
+    return mig;
+  }
+
+  // Write-ahead: the kMigrate record lands before any mutation. A crash
+  // before it recovers to the old plan; any later cut replays the full
+  // swap (plus whatever compensation landed) — exactly-one of
+  // {old, new} at every cut (docs/defrag.md#crash-safety).
+  if (journal_ != nullptr && !replaying_) {
+    durable::MigrateRecord rec;
+    rec.user = v.user;
+    rec.plan = new_plan;
+    rec.old_plan_fp = old_fp;
+    journalAppendLocked(durable::RecordType::kMigrate,
+                        durable::encodeMigrate(rec));
+  }
+  // Compensate the write-ahead: replaying kMigrate then kMigrateAbort
+  // swaps forward and straight back.
+  auto rolledBack = [&] {
+    durable::MigrateAbortRecord rec;
+    rec.user = v.user;
+    rec.plan = old.plan;
+    journalAppendLocked(durable::RecordType::kMigrateAbort,
+                        durable::encodeMigrateAbort(rec));
+    mig.outcome = MigrationOutcome::kRolledBack;
+    return mig;
+  };
+  // Swap AND restore failed; the tenant is gone. kMigrate replays the
+  // (deterministically successful) swap, kRemove strips it.
+  auto dropped = [&] {
+    durable::RemoveRecord rec;
+    rec.user = v.user;
+    rec.lazy = false;
+    journalAppendLocked(durable::RecordType::kRemove,
+                        durable::encodeRemove(rec));
+    mig.outcome = MigrationOutcome::kDropped;
+    return mig;
+  };
+
+  const SwapResult swap =
+      applyMigrationLocked(v.user, new_plan, Stage::kDefrag);
+  mig.segments_pinned = swap.segments_pinned;
+  mig.segments_replaced = swap.segments_replaced;
+  if (!swap.swapped) {
+    mig.error = swap.error;
+    return swap.restored ? rolledBack() : dropped();
+  }
+
+  // Commit gate, scoped to the victim and every device either plan
+  // touches. A violation migrates the victim straight back.
+  mig.outcome = MigrationOutcome::kMigrated;
+  auto scope = place::claimedDevices(old.plan);
+  const auto nd = place::claimedDevices(new_plan);
+  scope.insert(nd.begin(), nd.end());
+  const verify::VerifyReport vrep = commitGateLocked(v.user, std::move(scope));
+  if (vrep.ok()) return mig;
+  mig.error = {ErrorCode::kVerification, Stage::kDefrag, vrep.summary()};
+  const SwapResult back =
+      applyMigrationLocked(v.user, old.plan, Stage::kDefrag);
+  if (back.swapped) return rolledBack();
+  if (!back.restored) return dropped();
+  // The migrate-back's own deploy failed and restored the NEW plan —
+  // which the journal's kMigrate already describes, so no compensation
+  // record: the migration stands, error attached.
+  return mig;
 }
 
 DefragReport ClickIncService::defragmentLocked(
@@ -1367,158 +1387,23 @@ DefragReport ClickIncService::defragmentLocked(
   const auto views = tenantViewsLocked();
   report.before = defrag::scoreFragmentation(topo_, ledger_.occupancy(), views,
                                              ledger_.domainIndex(), opts);
-  const auto victims = defrag::selectVictims(report.before, views, opts);
   // The effective view's partition, built on the first victim that
   // re-places and shared by the rest (migrations never move health).
   std::shared_ptr<const topo::EcPartition> partition;
-
-  for (const auto& v : victims) {
-    MigrationRecord mig;
-    mig.user_id = v.user;
-    mig.evacuated = v.evacuate;
-    const auto it = ledger_.deployments().find(v.user);
-    if (it == ledger_.deployments().end()) continue;
-    const Deployed old = it->second;  // copy: the swap rewrites the ledger
-
-    // Unhealthy footprints belong to the failover pipeline, not defrag.
-    bool healthy = true;
-    for (int dev : place::claimedDevices(old.plan)) {
-      if (topo_.nodeHealth(dev) != topo::Health::kUp) {
-        healthy = false;
-        break;
-      }
-    }
-    if (!healthy) {
-      mig.outcome = MigrationOutcome::kSkipped;
-      mig.error = {ErrorCode::kUnavailable, Stage::kDefrag,
-                   cat("user ", v.user, ": footprint not fully healthy")};
-      ++report.skipped;
-      report.migrations.push_back(std::move(mig));
-      continue;
-    }
-
-    // Re-place against the evacuation what-if snapshot: the victim's own
-    // claims freed everywhere, the hot targets zeroed out, so a feasible
-    // plan is guaranteed to fit the live ledger after the release.
-    place::PlacementPlan new_plan;
-    try {
-      const auto snapshot = defrag::evacuationSnapshot(
-          ledger_.occupancy(), *old.prog, old.plan, v.evacuate);
-      if (partition == nullptr) {
-        partition = partitionLocked(effectiveHealthLocked());
-      }
-      new_plan = placeLocked(*old.prog, old.traffic, *partition, snapshot,
-                             old.options);
-      cumulative_stats_.add(new_plan.stats);
-    } catch (...) {
-      mig.error = errorFromCurrentException(Stage::kDefrag);
-      mig.outcome = MigrationOutcome::kSkipped;
-      ++report.skipped;
-      report.migrations.push_back(std::move(mig));
-      continue;
-    }
-    const std::uint64_t old_fp = durable::planFingerprint(old.plan);
-    if (!new_plan.feasible || defrag::touchesAny(new_plan, v.evacuate) ||
-        durable::planFingerprint(new_plan) == old_fp) {
-      if (!new_plan.feasible) {
-        mig.error = placementFailure(new_plan, Stage::kDefrag);
-      }
-      mig.outcome = MigrationOutcome::kSkipped;
-      ++report.skipped;
-      report.migrations.push_back(std::move(mig));
-      continue;
-    }
-
-    // Write-ahead: the kMigrate record lands before any mutation. A crash
-    // before it recovers to the old plan; any later cut replays the full
-    // swap (plus whatever compensation landed) — exactly-one of
-    // {old, new} at every cut (docs/defrag.md#crash-safety).
-    if (journal_ != nullptr && !replaying_) {
-      durable::MigrateRecord rec;
-      rec.user = v.user;
-      rec.plan = new_plan;
-      rec.old_plan_fp = old_fp;
-      journalAppendLocked(durable::RecordType::kMigrate,
-                          durable::encodeMigrate(rec));
-    }
-    auto journalMigrateAbort = [&] {
-      durable::MigrateAbortRecord rec;
-      rec.user = v.user;
-      rec.plan = old.plan;
-      journalAppendLocked(durable::RecordType::kMigrateAbort,
-                          durable::encodeMigrateAbort(rec));
-    };
-    auto journalDrop = [&] {
-      durable::RemoveRecord rec;
-      rec.user = v.user;
-      rec.lazy = false;
-      journalAppendLocked(durable::RecordType::kRemove,
-                          durable::encodeRemove(rec));
-    };
-
-    const SwapResult swap =
-        applyMigrationLocked(v.user, new_plan, Stage::kDefrag);
-    mig.segments_pinned = swap.segments_pinned;
-    mig.segments_replaced = swap.segments_replaced;
-    if (!swap.swapped) {
-      mig.error = swap.error;
-      if (swap.restored) {
-        // Compensate the write-ahead: replaying kMigrate then
-        // kMigrateAbort swaps forward and straight back.
-        journalMigrateAbort();
-        mig.outcome = MigrationOutcome::kRolledBack;
-        ++report.rolled_back;
-      } else {
-        // Swap AND restore failed; the tenant is gone. kMigrate replays
-        // the (deterministically successful) swap, kRemove strips it.
-        journalDrop();
-        mig.outcome = MigrationOutcome::kDropped;
+  for (const auto& v : defrag::selectVictims(report.before, views, opts)) {
+    if (ledger_.deployments().count(v.user) == 0) continue;
+    report.migrations.push_back(migrateVictimLocked(v, partition));
+  }
+  for (const auto& mig : report.migrations) {
+    switch (mig.outcome) {
+      case MigrationOutcome::kMigrated: ++report.migrated; break;
+      case MigrationOutcome::kSkipped: ++report.skipped; break;
+      case MigrationOutcome::kRolledBack: ++report.rolled_back; break;
+      case MigrationOutcome::kDropped:
         ++report.dropped;
-        report.error = swap.error;
-      }
-      report.migrations.push_back(std::move(mig));
-      continue;
+        report.error = mig.error;
+        break;
     }
-
-    // Commit gate (PR 7), scoped to the victim and every device either
-    // plan touches. A violation migrates the victim straight back.
-    if (verify_policy_.at_commit && !replaying_) {
-      verify::VerifyOptions vopts;
-      vopts.scope_users = {v.user};
-      auto scope = place::claimedDevices(old.plan);
-      const auto nd = place::claimedDevices(new_plan);
-      scope.insert(nd.begin(), nd.end());
-      vopts.scope_devices = std::move(scope);
-      const verify::VerifyReport vrep = auditLocked(vopts);
-      if (!vrep.ok()) {
-        mig.error = {ErrorCode::kVerification, Stage::kDefrag,
-                     vrep.summary()};
-        const SwapResult back =
-            applyMigrationLocked(v.user, old.plan, Stage::kDefrag);
-        if (back.swapped) {
-          journalMigrateAbort();
-          mig.outcome = MigrationOutcome::kRolledBack;
-          ++report.rolled_back;
-        } else if (back.restored) {
-          // The migrate-back's own deploy failed and restored the NEW
-          // plan — which the journal's kMigrate already describes, so no
-          // compensation record: the migration stands, error attached.
-          mig.outcome = MigrationOutcome::kMigrated;
-          ++report.migrated;
-        } else {
-          journalDrop();
-          mig.outcome = MigrationOutcome::kDropped;
-          ++report.dropped;
-          report.error = mig.error;
-        }
-        report.migrations.push_back(std::move(mig));
-        continue;
-      }
-    }
-
-    mig.outcome = MigrationOutcome::kMigrated;
-    ++report.migrated;
-    report.migrations.push_back(std::move(mig));
   }
 
   report.after =
@@ -1538,11 +1423,6 @@ DefragReport ClickIncService::defragment(const defrag::DefragOptions& opts) {
 void ClickIncService::setDefragPolicy(DefragPolicy policy) {
   std::lock_guard<std::mutex> lock(mu_);
   defrag_policy_ = policy;
-}
-
-DefragPolicy ClickIncService::defragPolicy() {
-  std::lock_guard<std::mutex> lock(mu_);
-  return defrag_policy_;
 }
 
 // Reactive targeted compaction (DefragPolicy::reactive): a submission
@@ -1810,35 +1690,32 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
                      "failover replay: affected-tenant count mismatch");
       break;
     }
-    case durable::RecordType::kMigrate: {
-      auto mr = durable::decodeMigrate(rec.payload);
+    case durable::RecordType::kMigrate:
+    case durable::RecordType::kMigrateAbort: {
+      // Both replay the live executor's swap; only a forward migration
+      // names the plan it replaced.
+      const bool forward = rec.type == durable::RecordType::kMigrate;
+      const char* what = forward ? "migrate replay" : "migrate-abort replay";
+      durable::MigrateRecord mr;
+      if (forward) {
+        mr = durable::decodeMigrate(rec.payload);
+      } else {
+        auto ar = durable::decodeMigrateAbort(rec.payload);
+        mr.user = ar.user;
+        mr.plan = std::move(ar.plan);
+      }
       const auto it = ledger_.deployments().find(mr.user);
       CLICKINC_CHECK(it != ledger_.deployments().end(),
-                     cat("migrate replay: user ", mr.user, " not deployed"));
+                     cat(what, ": user ", mr.user, " not deployed"));
       CLICKINC_CHECK(
-          durable::planFingerprint(it->second.plan) == mr.old_plan_fp,
-          cat("migrate replay: old-plan fingerprint mismatch for user ",
-              mr.user));
+          !forward ||
+              durable::planFingerprint(it->second.plan) == mr.old_plan_fp,
+          cat(what, ": old-plan fingerprint mismatch for user ", mr.user));
       validateReplayPlan(mr.plan, *it->second.prog, ledger_.occupancy());
       const SwapResult swap =
           applyMigrationLocked(mr.user, mr.plan, Stage::kRecovery);
-      CLICKINC_CHECK(swap.swapped,
-                     cat("migrate replay: swap failed for user ", mr.user,
-                         ": ", swap.error.message()));
-      break;
-    }
-    case durable::RecordType::kMigrateAbort: {
-      auto mr = durable::decodeMigrateAbort(rec.payload);
-      const auto it = ledger_.deployments().find(mr.user);
-      CLICKINC_CHECK(
-          it != ledger_.deployments().end(),
-          cat("migrate-abort replay: user ", mr.user, " not deployed"));
-      validateReplayPlan(mr.plan, *it->second.prog, ledger_.occupancy());
-      const SwapResult swap =
-          applyMigrationLocked(mr.user, mr.plan, Stage::kRecovery);
-      CLICKINC_CHECK(swap.swapped,
-                     cat("migrate-abort replay: swap failed for user ",
-                         mr.user, ": ", swap.error.message()));
+      CLICKINC_CHECK(swap.swapped, cat(what, ": swap failed for user ",
+                                       mr.user, ": ", swap.error.message()));
       break;
     }
   }

@@ -125,7 +125,6 @@ class ClickIncService {
   void setRetryPolicy(RetryPolicy policy);
   RetryPolicy retryPolicy();
   void setFailoverPolicy(FailoverPolicy policy);
-  FailoverPolicy failoverPolicy();
 
   // Health transitions + failover, all under the service lock: apply the
   // transition to the topology, then re-place every affected tenant
@@ -178,7 +177,6 @@ class ClickIncService {
   // on the sequential and staged commit paths, so submitAll stays
   // bit-identical to sequential submits.
   void setDefragPolicy(DefragPolicy policy);
-  DefragPolicy defragPolicy();
 
   // Test hook: the (n+1)-th emulator deploy from now throws a synthetic
   // SynthesisError, exercising the rollback/restore paths. Single-shot.
@@ -241,7 +239,6 @@ class ClickIncService {
     bool at_failover = true;
   };
   void setVerifyPolicy(VerifyPolicy policy);
-  VerifyPolicy verifyPolicy();
 
   // On-demand full audit of every live deployment against the live
   // occupancy ledger (all four invariants, no scoping).
@@ -442,10 +439,10 @@ class ClickIncService {
   // Shared by failover re-placement (recoverTenantLocked) and the
   // defragmentation executor: `old`'s surviving claims are already
   // released and `new_plan` is claimed + deployed segment-by-segment
-  // with unchanged segments pinned; on any failure the old plan is
-  // restored (or, if the restore deploy also fails, the tenant is
-  // dropped). The swap registers whichever deployment results in the
-  // ledger; the caller owns journaling.
+  // with the segments place::pinUnchanged keeps left untouched; on any
+  // failure the old plan is restored (or, if the restore deploy also
+  // fails, the tenant is dropped). The swap registers whichever
+  // deployment results in the ledger; the caller owns journaling.
   struct SwapResult {
     bool swapped = false;    // new plan live and registered
     bool restored = false;   // !swapped: old plan live again
@@ -456,20 +453,28 @@ class ClickIncService {
   };
   SwapResult swapPlanLocked(int user, const Deployed& old,
                             const place::PlacementPlan& new_plan,
-                            bool incremental,
                             const std::function<bool(int)>& surviving,
                             Stage stage);
 
   // Migration step shared by the live defrag executor and kMigrate /
   // kMigrateAbort replay: release the old plan's claims, then
-  // swapPlanLocked the new plan in (incremental, all devices surviving).
+  // swapPlanLocked the new plan in (all devices surviving).
   // Bit-identical occupancy arithmetic on both paths by construction.
   SwapResult applyMigrationLocked(int user,
                                   const place::PlacementPlan& new_plan,
                                   Stage stage);
 
-  // The defragment() body (lock held); also the reactive path's bounded
-  // in-submission compaction step.
+  // One defrag victim: health check -> re-place against the evacuation
+  // snapshot -> write-ahead kMigrate -> swap -> commit gate, journaling
+  // the compensation a failure needs. `v.user` must be deployed;
+  // `partition` is built on the first re-place and shared by the rest.
+  MigrationRecord migrateVictimLocked(
+      const defrag::VictimPick& v,
+      std::shared_ptr<const topo::EcPartition>& partition);
+
+  // The defragment() body (lock held): one migrateVictimLocked per victim,
+  // then one tally; also the reactive path's bounded in-submission
+  // compaction step.
   DefragReport defragmentLocked(const defrag::DefragOptions& opts);
 
   // Reactive retry after a stranded kResourceExhausted: one defragment
@@ -514,6 +519,11 @@ class ClickIncService {
   // Runs the plan verifier over the given deployments view (lock held —
   // the verifier borrows live programs/plans/ledger).
   verify::VerifyReport auditLocked(const verify::VerifyOptions& opts);
+  // Commit gate of a submission or a migration: when
+  // VerifyPolicy::at_commit is on and no replay runs, audits `user`
+  // scoped to `devices` (cross-tenant occupancy/isolation on those
+  // devices covers every co-resident); otherwise an empty, clean report.
+  verify::VerifyReport commitGateLocked(int user, std::set<int> devices);
 
   topo::Topology topo_;
   modules::ModuleLibrary lib_;

@@ -193,8 +193,10 @@ CLICKINC_ALWAYS_INLINE std::uint64_t aluEval(Ctx& c, const DecodedInstr& d,
       const std::uint64_t s1 = S(1);
       return s1 >= 64 ? 0 : S(0) >> s1;
     }
-    case Opcode::kSlice:
-      return (S(0) >> S(1)) & lowMask(static_cast<int>(S(2)));
+    case Opcode::kSlice: {
+      const std::uint64_t s1 = S(1);
+      return (s1 >= 64 ? 0 : S(0) >> s1) & lowMask(static_cast<int>(S(2)));
+    }
     case Opcode::kCmpLt: return S(0) < S(1) ? 1 : 0;
     case Opcode::kCmpLe: return S(0) <= S(1) ? 1 : 0;
     case Opcode::kCmpEq: return S(0) == S(1) ? 1 : 0;

@@ -277,8 +277,8 @@ ExecStats Interpreter::run(const IrProgram& prog,
       case Opcode::kShl: write(ins.dest, s[1] >= 64 ? 0 : s[0] << s[1]); break;
       case Opcode::kShr: write(ins.dest, s[1] >= 64 ? 0 : s[0] >> s[1]); break;
       case Opcode::kSlice:
-        write(ins.dest,
-              (s[0] >> s[1]) & lowMask(static_cast<int>(s[2])));
+        write(ins.dest, (s[1] >= 64 ? 0 : s[0] >> s[1]) &
+                            lowMask(static_cast<int>(s[2])));
         break;
       case Opcode::kCmpLt: write(ins.dest, s[0] < s[1] ? 1 : 0); break;
       case Opcode::kCmpLe: write(ins.dest, s[0] <= s[1] ? 1 : 0); break;

@@ -1,5 +1,6 @@
 #include "place/treedp.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <limits>
@@ -810,6 +811,73 @@ std::set<int> claimedDevices(const PlacementPlan& plan) {
     forEachClaim(a, [&](int dev, const IntraPlacement&) { devs.insert(dev); });
   }
   return devs;
+}
+
+namespace {
+
+bool samePlacementMap(const std::map<int, IntraPlacement>& a,
+                      const std::map<int, IntraPlacement>& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end(),
+                    [](const auto& x, const auto& y) {
+                      return x.first == y.first &&
+                             x.second.instr_idxs == y.second.instr_idxs &&
+                             x.second.stage_of == y.second.stage_of;
+                    });
+}
+
+bool sameAssignment(const NodeAssignment& a, const NodeAssignment& b) {
+  return a.from_block == b.from_block && a.to_block == b.to_block &&
+         a.bypass_from == b.bypass_from &&
+         samePlacementMap(a.on_device, b.on_device) &&
+         samePlacementMap(a.on_bypass, b.on_bypass);
+}
+
+std::set<int> unpinnedDevices(const PlacementPlan& plan,
+                              const std::vector<char>& pinned) {
+  std::set<int> devs;
+  for (std::size_t i = 0; i < plan.assignments.size(); ++i) {
+    if (pinned[i]) continue;
+    forEachClaim(plan.assignments[i],
+                 [&](int dev, const IntraPlacement&) { devs.insert(dev); });
+  }
+  return devs;
+}
+
+}  // namespace
+
+PinDiff pinUnchanged(const PlacementPlan& old_plan,
+                     const PlacementPlan& new_plan) {
+  const auto& olds = old_plan.assignments;
+  const auto& news = new_plan.assignments;
+  PinDiff d;
+  d.pinned_old.assign(olds.size(), 0);
+  d.pinned_new.assign(news.size(), 0);
+  std::vector<std::size_t> match(news.size());
+  for (std::size_t i = 0; i < news.size(); ++i) {
+    for (std::size_t j = 0; j < olds.size(); ++j) {
+      if (d.pinned_old[j] || !sameAssignment(news[i], olds[j])) continue;
+      d.pinned_new[i] = d.pinned_old[j] = 1;
+      match[i] = j;
+      break;
+    }
+  }
+  for (bool demoted = true; demoted;) {
+    demoted = false;
+    d.unpinned_old_devices = unpinnedDevices(old_plan, d.pinned_old);
+    d.unpinned_new_devices = unpinnedDevices(new_plan, d.pinned_new);
+    for (std::size_t i = 0; i < news.size(); ++i) {
+      if (!d.pinned_new[i]) continue;
+      for (int dev : claimedDevices(news[i])) {
+        if (d.unpinned_old_devices.count(dev) != 0 ||
+            d.unpinned_new_devices.count(dev) != 0) {
+          d.pinned_new[i] = d.pinned_old[match[i]] = 0;
+          demoted = true;
+          break;
+        }
+      }
+    }
+  }
+  return d;
 }
 
 }  // namespace clickinc::place

@@ -267,4 +267,23 @@ void releasePlan(const PlacementPlan& plan, const ir::IrProgram& prog,
 std::set<int> claimedDevices(const NodeAssignment& a);
 std::set<int> claimedDevices(const PlacementPlan& plan);
 
+// Segment diff of a make-before-break swap (paper §6, incremental
+// deployment). An assignment of the new plan identical to an unmatched
+// one of the old plan — same block range, devices and instruction
+// placement — is pinned: its data plane stays untouched. A pin whose
+// devices overlap any unpinned segment of either plan is demoted to a
+// replacement (strips are user-granular per device, so a shared device
+// cannot keep one segment while replacing another); demotion repeats
+// until no pin overlaps.
+struct PinDiff {
+  std::vector<char> pinned_old;  // per old_plan assignment
+  std::vector<char> pinned_new;  // per new_plan assignment
+  // Claimed devices of the unpinned assignments: what a swap strips from
+  // the old data plane, and what a failed swap strips of the new one.
+  std::set<int> unpinned_old_devices;
+  std::set<int> unpinned_new_devices;
+};
+PinDiff pinUnchanged(const PlacementPlan& old_plan,
+                     const PlacementPlan& new_plan);
+
 }  // namespace clickinc::place

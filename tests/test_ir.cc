@@ -512,6 +512,27 @@ TEST(Interp, SliceExtractsBits) {
   EXPECT_EQ(pkt.params.at("s"), 0xABu);
 }
 
+// Like kShr, a slice offset at or past the word width shifts every bit
+// out; both engines must agree on it rather than shift out of range.
+TEST(Interp, SliceByAtLeast64YieldsZeroOnBothEngines) {
+  for (const std::uint64_t shift :
+       {std::uint64_t{64}, std::uint64_t{107656623}, ~std::uint64_t{0}}) {
+    IrProgram p;
+    p.instrs.push_back(mk(Opcode::kSlice, Operand::var("s", 8),
+                          {Operand::constant(0xABCD, 16),
+                           Operand::constant(shift, 64),
+                           Operand::constant(8, 8)}));
+    StateStore ref_store, plan_store;
+    Rng ref_rng(1), plan_rng(1);
+    Interpreter ref(&ref_store, &ref_rng);
+    PacketView a, b;
+    ref.runAll(p, a);
+    ExecPlan::compile(p).run(&plan_store, &plan_rng, b);
+    EXPECT_EQ(a.params.at("s"), 0u) << "shift " << shift;
+    EXPECT_EQ(b.params.at("s"), 0u) << "shift " << shift;
+  }
+}
+
 TEST(Interp, ChecksumFolds) {
   IrProgram p;
   p.instrs.push_back(mk(Opcode::kChecksum, Operand::var("c", 16),

@@ -528,6 +528,82 @@ TEST(PlacementStats, FastPathReportsCacheCounters) {
   EXPECT_GT(slow.stats.intra_calls, plan.stats.intra_calls);
 }
 
+// One-block segment [from, from+1) holding instruction `from` at `stage`
+// on every listed device.
+NodeAssignment segment(int from, std::initializer_list<int> devices,
+                       int stage = 0) {
+  NodeAssignment a;
+  a.from_block = from;
+  a.to_block = from + 1;
+  for (int dev : devices) {
+    auto& p = a.on_device[dev];
+    p.instr_idxs = {from};
+    p.stage_of = {stage};
+  }
+  return a;
+}
+
+PlacementPlan planOf(std::vector<NodeAssignment> assignments) {
+  PlacementPlan plan;
+  plan.feasible = true;
+  plan.assignments = std::move(assignments);
+  return plan;
+}
+
+TEST(PinUnchanged, IdenticalPlansPinEverything) {
+  const auto plan = planOf({segment(0, {1, 2}), segment(1, {2, 3}),
+                            segment(2, {4})});
+  const PinDiff d = pinUnchanged(plan, plan);
+  EXPECT_EQ(d.pinned_old, (std::vector<char>{1, 1, 1}));
+  EXPECT_EQ(d.pinned_new, (std::vector<char>{1, 1, 1}));
+  EXPECT_TRUE(d.unpinned_old_devices.empty());
+  EXPECT_TRUE(d.unpinned_new_devices.empty());
+}
+
+TEST(PinUnchanged, PinSharingADeviceWithAMovedSegmentIsDemotedInCascade) {
+  // Segment 2 moves from device 4 onto device 3. Segment 1 shares device
+  // 3 with it, so its pin is demoted; that puts device 2 in churn, which
+  // demotes segment 0 on the next round. Segment 3 shares nothing.
+  const auto old_plan = planOf({segment(0, {1, 2}), segment(1, {2, 3}),
+                                segment(2, {4}), segment(3, {5})});
+  const auto new_plan = planOf({segment(0, {1, 2}), segment(1, {2, 3}),
+                                segment(2, {3}), segment(3, {5})});
+  const PinDiff d = pinUnchanged(old_plan, new_plan);
+  EXPECT_EQ(d.pinned_old, (std::vector<char>{0, 0, 0, 1}));
+  EXPECT_EQ(d.pinned_new, (std::vector<char>{0, 0, 0, 1}));
+  EXPECT_EQ(d.unpinned_old_devices, (std::set<int>{1, 2, 3, 4}));
+  EXPECT_EQ(d.unpinned_new_devices, (std::set<int>{1, 2, 3}));
+
+  // A different stage on the same device is a different segment.
+  const auto restaged = planOf({segment(0, {1, 2}), segment(1, {2, 3}),
+                                segment(2, {4}), segment(3, {5}, 1)});
+  const PinDiff r = pinUnchanged(old_plan, restaged);
+  EXPECT_EQ(r.pinned_new, (std::vector<char>{1, 1, 1, 0}));
+  EXPECT_EQ(r.unpinned_old_devices, (std::set<int>{5}));
+  EXPECT_EQ(r.unpinned_new_devices, (std::set<int>{5}));
+}
+
+TEST(PinUnchanged, DisjointPlansPinNothing) {
+  const auto old_plan = planOf({segment(0, {1}), segment(1, {2})});
+  const auto new_plan = planOf({segment(0, {3}), segment(1, {4})});
+  const PinDiff d = pinUnchanged(old_plan, new_plan);
+  EXPECT_EQ(d.pinned_old, (std::vector<char>{0, 0}));
+  EXPECT_EQ(d.pinned_new, (std::vector<char>{0, 0}));
+  EXPECT_EQ(d.unpinned_old_devices, (std::set<int>{1, 2}));
+  EXPECT_EQ(d.unpinned_new_devices, (std::set<int>{3, 4}));
+}
+
+TEST(PinUnchanged, EmptyNewPlanPinsNothing) {
+  // Failover's server-only degradation swaps in a plan with no
+  // assignments: the whole old data plane is stripped.
+  const auto old_plan = planOf({segment(0, {1, 2}), segment(1, {3})});
+  const PinDiff d = pinUnchanged(old_plan, planOf({}));
+  EXPECT_EQ(d.pinned_old, (std::vector<char>{0, 0}));
+  EXPECT_TRUE(d.pinned_new.empty());
+  EXPECT_EQ(d.unpinned_old_devices, (std::set<int>{1, 2, 3}));
+  EXPECT_TRUE(d.unpinned_new_devices.empty());
+}
+
 TEST(OccupancyFingerprint, EqualStatesHashEqual) {
   const auto model = device::makeTofino();
   const auto a = DeviceOccupancy::fresh(model);

@@ -95,13 +95,14 @@ TEST(Verifier, CommitGateFailsSubmissionWithKVerificationAndRollsBack) {
   ASSERT_EQ(svc.deployments().size(), 1u);
 
   // Corrupt the free ledger of every programmable device: whatever the
-  // next plan touches, its scoped audit sees the drift.
+  // next plan touches, its scoped audit sees the drift. Decrement, so a
+  // non-binding INT_MAX budget cannot overflow.
   const auto& nodes = svc.topology().nodes();
   for (std::size_t i = 0; i < nodes.size(); ++i) {
     if (!nodes[i].programmable) continue;
     auto& occ = svc.occupancy().of(static_cast<int>(i));
-    for (auto& stage : occ.free_stage) stage.salus += 1;
-    if (occ.free_stage.empty()) occ.free_whole.salus += 1;
+    for (auto& stage : occ.free_stage) stage.salus -= 1;
+    if (occ.free_stage.empty()) occ.free_whole.salus -= 1;
   }
 
   const auto r = svc.submit(kvsRequest(svc));
