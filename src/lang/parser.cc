@@ -49,31 +49,34 @@ class Parser {
   }
 
  private:
-  // Expression nesting cap. Unary operators, parentheses, subscripts and
-  // call arguments each recurse once per level, so unbounded tenant input
-  // would overflow the stack; past the cap the parse fails like any other
-  // syntax error.
+  // Nesting caps. Unary operators, parentheses, subscripts and call
+  // arguments each recurse once per expression level; every indented block
+  // and every `elif` arm (which adds no indentation) recurses once per
+  // statement level, in the parser, in lowering and in the AST's
+  // destructors. Unbounded tenant input would overflow the stack; past a
+  // cap the parse fails like any other syntax error.
   static constexpr int kMaxExprDepth = 256;
+  static constexpr int kMaxStmtDepth = 256;
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
   int expr_depth_ = 0;
+  int stmt_depth_ = 0;
 
-  // One level of expression nesting for the guard's lifetime.
+  // One level of nesting, counted in `depth`, for the guard's lifetime.
   class Nest {
    public:
-    explicit Nest(Parser& p) : p_(p) {
-      if (p_.expr_depth_ >= kMaxExprDepth) {
-        p_.fail(cat("expression nested deeper than ", kMaxExprDepth));
-      }
-      ++p_.expr_depth_;
+    Nest(const Parser& p, int& depth, int cap, const char* what)
+        : depth_(depth) {
+      if (depth_ >= cap) p.fail(cat(what, " nested deeper than ", cap));
+      ++depth_;
     }
-    ~Nest() { --p_.expr_depth_; }
+    ~Nest() { --depth_; }
     Nest(const Nest&) = delete;
     Nest& operator=(const Nest&) = delete;
 
    private:
-    Parser& p_;
+    int& depth_;
   };
 
   const Token& peek(int ahead = 0) const {
@@ -114,6 +117,7 @@ class Parser {
   }
 
   std::vector<StmtPtr> parseBlock() {
+    const Nest nest(*this, stmt_depth_, kMaxStmtDepth, "statement");
     expectOp(":");
     expectNewline();
     skipNewlines();
@@ -192,6 +196,7 @@ class Parser {
     s->body = parseBlock();
     skipNewlines();
     if (checkKw("elif")) {
+      const Nest arm(*this, stmt_depth_, kMaxStmtDepth, "statement");
       s->orelse.push_back(parseIf());
     } else if (checkKw("else")) {
       advance();
@@ -248,7 +253,7 @@ class Parser {
   }
 
   ExprPtr parseExpr() {
-    const Nest nest(*this);
+    const Nest nest(*this, expr_depth_, kMaxExprDepth, "expression");
     return parseBinary(0);
   }
 
@@ -284,7 +289,7 @@ class Parser {
       if (op == "!") op = "not";
       auto e = makeExpr(ExprKind::kUnary, line);
       e->str = op;
-      const Nest nest(*this);
+      const Nest nest(*this, expr_depth_, kMaxExprDepth, "expression");
       e->base = parseUnary();
       return e;
     }

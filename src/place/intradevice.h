@@ -39,6 +39,8 @@ struct DeviceOccupancy {
   device::ResourceDemand free_whole;               // RTC / hybrid devices
 
   static DeviceOccupancy fresh(const device::DeviceModel& model);
+  // `model` is kept by pointer, so a temporary would dangle.
+  static DeviceOccupancy fresh(device::DeviceModel&&) = delete;
   // Fraction of the device's scalar capacity still free, in [0, 1].
   double remainingRatio() const;
 };

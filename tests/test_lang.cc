@@ -152,6 +152,36 @@ TEST(Parser, DeepNestingIsAParseErrorNotACrash) {
   EXPECT_EQ(m.stmts[0]->value->kind, ExprKind::kInt);
 }
 
+// An `elif` chain adds no indentation yet recurses once per arm, and each
+// indented block recurses once per level: both count towards one statement
+// depth cap.
+std::string elifChain(int arms) {
+  std::string src = "if hdr.a == 0:\n    hdr.out = 0\n";
+  for (int i = 1; i < arms; ++i) {
+    src += cat("elif hdr.a == ", i, ":\n    hdr.out = ", i, "\n");
+  }
+  return src;
+}
+
+std::string nestedIfs(int depth) {
+  std::string src;
+  for (int i = 0; i < depth; ++i) {
+    src += std::string(static_cast<std::size_t>(i), ' ') + "if hdr.a:\n";
+  }
+  return src + std::string(static_cast<std::size_t>(depth), ' ') +
+         "hdr.out = 1\n";
+}
+
+TEST(Parser, LongElifChainAndDeepBlocksAreParseErrorsNotCrashes) {
+  EXPECT_THROW(parseModule(elifChain(100000)), ParseError);
+  EXPECT_THROW(parseModule(nestedIfs(3000)), ParseError);
+  // Within the cap both shapes parse.
+  const auto m = parseModule(elifChain(200));
+  ASSERT_EQ(m.stmts.size(), 1u);
+  EXPECT_EQ(m.stmts[0]->orelse[0]->kind, StmtKind::kIf);
+  EXPECT_NO_THROW(parseModule(nestedIfs(200)));
+}
+
 TEST(Parser, CountLoc) {
   EXPECT_EQ(countLoc("a = 1\n# comment\n\nb = 2\n"), 2);
 }
@@ -175,6 +205,20 @@ TEST(Lower, StraightLineArithmetic) {
   ir::Interpreter interp(&store, &rng);
   interp.runAll(p, pkt);
   EXPECT_EQ(pkt.field("hdr.out"), 16u);  // (5+3)*2
+}
+
+TEST(Lower, ElifChainNearTheCapLowers) {
+  HeaderSpec hdr;
+  hdr.add("a", 32);
+  hdr.add("out", 32);
+  const auto p = lower(elifChain(200), hdr);
+  ir::PacketView pkt;
+  pkt.setField("hdr.a", 137);
+  ir::StateStore store;
+  Rng rng(1);
+  ir::Interpreter interp(&store, &rng);
+  interp.runAll(p, pkt);
+  EXPECT_EQ(pkt.field("hdr.out"), 137u);
 }
 
 TEST(Lower, DeadCodeEliminated) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 
 #include "core/service.h"
@@ -124,6 +125,261 @@ TEST(BlockDag, ScoreAdditive) {
   EXPECT_NEAR(dag.scoreOf(0, m), dag.totalScore(), 1e-9);
 }
 
+// Reference for BlockDag::build: the rebuild-everything merge. After every
+// merge it re-derives all node preds from the instruction dependencies and
+// re-levels with a quadratic Kahn pass that keeps a source's old level.
+// BlockDag must match it block for block.
+struct RefDag {
+  std::vector<Block> blocks;
+  std::vector<int> cut_bits;  // blocks.size() + 1 entries
+  std::vector<double> prefix_score;
+};
+
+RefDag referenceBlockDag(const ir::IrProgram& prog,
+                         const BlockDagOptions& opts) {
+  struct Node {
+    std::vector<int> instrs;
+    ir::ClassMask classes = 0;
+    std::set<int> preds;
+    int level = 0;
+    bool alive = true;
+  };
+  const auto dep = ir::buildDepGraph(prog);
+  std::vector<Node> nodes;
+  for (const auto& comp : ir::stronglyConnectedComponents(dep)) {
+    Node n;
+    n.instrs = comp;
+    for (int i : comp) {
+      n.classes |=
+          ir::classBit(prog.instrs[static_cast<std::size_t>(i)].cls());
+    }
+    nodes.push_back(n);
+  }
+  const auto rebuild = [&] {
+    std::map<int, int> node_of;
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+      for (int i : nodes[n].instrs) {
+        if (nodes[n].alive) node_of[i] = static_cast<int>(n);
+      }
+    }
+    for (auto& n : nodes) n.preds.clear();
+    for (const auto& [i, ni] : node_of) {
+      for (int j : dep.deps[static_cast<std::size_t>(i)]) {
+        if (node_of.at(j) != ni) nodes[ni].preds.insert(node_of.at(j));
+      }
+    }
+    std::map<int, int> indeg, level;
+    for (std::size_t n = 0; n < nodes.size(); ++n) {
+      if (nodes[n].alive) {
+        indeg[static_cast<int>(n)] = static_cast<int>(nodes[n].preds.size());
+      }
+    }
+    std::vector<int> ready, order;
+    for (const auto& [n, d] : indeg) {
+      if (d == 0) ready.push_back(n);
+    }
+    while (!ready.empty()) {
+      const int n = ready.back();
+      ready.pop_back();
+      order.push_back(n);
+      for (auto& [m, d] : indeg) {
+        if (!nodes[m].preds.count(n)) continue;
+        level[m] = std::max(level[m], level[n] + 1);
+        if (--d == 0) ready.push_back(m);
+      }
+    }
+    ASSERT_EQ(order.size(), indeg.size()) << "cycle";
+    for (const auto& [n, l] : level) nodes[n].level = l;
+    for (int n : order) {
+      for (int p : nodes[n].preds) {
+        nodes[n].level = std::max(nodes[n].level, nodes[p].level + 1);
+      }
+    }
+  };
+  const auto merge = [&](std::size_t a, std::size_t b) {
+    nodes[a].instrs.insert(nodes[a].instrs.end(), nodes[b].instrs.begin(),
+                           nodes[b].instrs.end());
+    std::sort(nodes[a].instrs.begin(), nodes[a].instrs.end());
+    nodes[b].alive = false;
+    rebuild();
+  };
+  const auto fits = [&](std::size_t a, std::size_t b) {
+    return nodes[a].alive && nodes[b].alive && a != b &&
+           nodes[a].classes == nodes[b].classes &&
+           nodes[a].instrs.size() + nodes[b].instrs.size() <=
+               static_cast<std::size_t>(opts.max_block_instrs);
+  };
+  rebuild();
+  for (bool changed = opts.merge; changed;) {  // intra-level
+    changed = false;
+    for (std::size_t a = 0; a < nodes.size() && !changed; ++a) {
+      for (std::size_t b = a + 1; b < nodes.size() && !changed; ++b) {
+        if (!fits(a, b) || nodes[a].level != nodes[b].level) continue;
+        bool share = nodes[a].preds.empty() && nodes[b].preds.empty();
+        for (int p : nodes[a].preds) share |= nodes[b].preds.count(p) > 0;
+        if (share) merge(a, b), changed = true;
+      }
+    }
+  }
+  for (bool changed = opts.merge; changed;) {  // inter-level
+    changed = false;
+    for (std::size_t a = 0; a < nodes.size() && !changed; ++a) {
+      for (std::size_t b = 0; b < nodes.size() && !changed; ++b) {
+        if (!fits(a, b) || nodes[b].preds != std::set<int>{int(a)} ||
+            nodes[b].level != nodes[a].level + 1) {
+          continue;
+        }
+        merge(a, b), changed = true;
+      }
+    }
+  }
+  std::vector<std::size_t> order;
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    if (nodes[n].alive) order.push_back(n);
+  }
+  std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
+    return std::make_pair(nodes[x].level, nodes[x].instrs.front()) <
+           std::make_pair(nodes[y].level, nodes[y].instrs.front());
+  });
+  RefDag ref;
+  std::map<int, int> block_of;
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    block_of[static_cast<int>(order[k])] = static_cast<int>(k);
+  }
+  ref.prefix_score.push_back(0.0);
+  for (std::size_t k = 0; k < order.size(); ++k) {
+    const auto& n = nodes[order[k]];
+    Block b;
+    b.id = static_cast<int>(k);
+    b.instrs = n.instrs;
+    b.classes = n.classes;
+    b.level = n.level;
+    b.demand = device::demandOfInstrs(prog, n.instrs);
+    for (int p : n.preds) b.deps.push_back(block_of.at(p));
+    std::sort(b.deps.begin(), b.deps.end());
+    for (int i : n.instrs) {
+      const int sid = prog.instrs[static_cast<std::size_t>(i)].state_id;
+      b.stateful |=
+          sid >= 0 && prog.states[static_cast<std::size_t>(sid)].stateful;
+    }
+    ref.prefix_score.push_back(ref.prefix_score.back() +
+                               demandScore(b.demand));
+    ref.blocks.push_back(std::move(b));
+  }
+  const auto instrsIn = [&](std::size_t from, std::size_t to) {
+    std::vector<int> out;
+    for (std::size_t k = from; k < to; ++k) {
+      const auto& n = nodes[order[k]];
+      out.insert(out.end(), n.instrs.begin(), n.instrs.end());
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  ref.cut_bits.assign(order.size() + 1, 0);
+  for (std::size_t k = 1; k < order.size(); ++k) {
+    ref.cut_bits[k] = ir::paramBitsAcrossCut(prog, instrsIn(0, k),
+                                             instrsIn(k, order.size()));
+  }
+  return ref;
+}
+
+void expectMatchesReference(const ir::IrProgram& prog,
+                            const BlockDagOptions& opts) {
+  SCOPED_TRACE(cat(prog.name, " merge=", opts.merge,
+                   " max_block_instrs=", opts.max_block_instrs));
+  const auto dag = BlockDag::build(prog, opts);
+  const auto ref = referenceBlockDag(prog, opts);
+  ASSERT_EQ(dag.size(), static_cast<int>(ref.blocks.size()));
+  for (int k = 0; k < dag.size(); ++k) {
+    const auto& got = dag.blocks()[static_cast<std::size_t>(k)];
+    const auto& want = ref.blocks[static_cast<std::size_t>(k)];
+    EXPECT_EQ(got.id, k);
+    EXPECT_EQ(got.instrs, want.instrs) << "block " << k;
+    EXPECT_EQ(got.classes, want.classes) << "block " << k;
+    EXPECT_EQ(got.level, want.level) << "block " << k;
+    EXPECT_EQ(got.deps, want.deps) << "block " << k;
+    EXPECT_EQ(got.stateful, want.stateful) << "block " << k;
+    EXPECT_TRUE(got.demand == want.demand) << "block " << k;
+  }
+  for (int i = 0; i <= dag.size(); ++i) {
+    EXPECT_EQ(dag.cutBits(i), ref.cut_bits[static_cast<std::size_t>(i)])
+        << "cut " << i;
+    EXPECT_EQ(dag.scoreOf(0, i), ref.prefix_score[static_cast<std::size_t>(i)])
+        << "prefix " << i;
+  }
+}
+
+// Every template at several parameter sets, including the Fig. 7
+// sparse-MLAgg source the benchmark submits.
+std::vector<ir::IrProgram> parityPrograms() {
+  modules::ModuleLibrary lib;
+  std::vector<ir::IrProgram> progs;
+  for (std::uint64_t dim : {4, 16, 32}) {
+    progs.push_back(lib.compileTemplate(
+        "MLAgg", cat("mlagg", dim),
+        {{"NumAgg", 1024}, {"Dim", dim}, {"NumWorker", 3}, {"IsConvert", 0}}));
+  }
+  for (std::uint64_t dim : {16, 32}) {
+    lang::HeaderSpec hdr;
+    hdr.add("op", 8);
+    hdr.add("seq", 32);
+    hdr.add("bitmap", 32);
+    hdr.add("overflow", 8);
+    hdr.add("data", 32, static_cast<int>(dim));
+    progs.push_back(lib.compileUser(
+        modules::sparseMlaggSource(), cat("sparse", dim), hdr,
+        {{"BlockNum", dim / 4}, {"BlockSize", 4}, {"NumAgg", 1024},
+         {"Dim", dim}, {"NumWorker", 2}, {"IsConvert", 0}, {"Scale", 1},
+         {"DATA", 1}, {"ACK", 2}, {"CheckOverflow", 1}}));
+  }
+  for (std::uint64_t size : {256, 1024}) {
+    progs.push_back(lib.compileTemplate(
+        "KVS", cat("kvs", size),
+        {{"CacheSize", size}, {"ValDim", 4}, {"TH", 16}}));
+  }
+  progs.push_back(lib.compileTemplate("KVS", "kvs_default"));
+  for (std::uint64_t len : {2, 4, 8}) {
+    progs.push_back(lib.compileTemplate(
+        "DQAcc", cat("dqacc", len), {{"CacheDepth", 1024}, {"CacheLen", len}}));
+  }
+  return progs;
+}
+
+TEST(BlockDag, MatchesRebuildEverythingReference) {
+  for (const auto& prog : parityPrograms()) {
+    for (bool merge : {true, false}) {
+      for (int max_instrs : {2, 4, 8, 16, 32}) {
+        BlockDagOptions opts;
+        opts.merge = merge;
+        opts.max_block_instrs = max_instrs;
+        expectMatchesReference(prog, opts);
+      }
+    }
+  }
+}
+
+TEST(BlockDag, LevelIsLongestPathFromASource) {
+  for (const auto& prog : parityPrograms()) {
+    for (bool merge : {true, false}) {
+      BlockDagOptions opts;
+      opts.merge = merge;
+      const auto dag = BlockDag::build(prog, opts);
+      // deps precede their block in the linearization, so one forward pass
+      // computes every block's longest path.
+      std::vector<int> longest;
+      for (const auto& b : dag.blocks()) {
+        int l = 0;
+        for (int d : b.deps) {
+          ASSERT_LT(d, b.id);
+          l = std::max(l, longest[static_cast<std::size_t>(d)] + 1);
+        }
+        longest.push_back(l);
+        EXPECT_EQ(b.level, l) << prog.name << " block " << b.id;
+      }
+    }
+  }
+}
+
 // --- intra-device ---
 
 TEST(IntraDevice, CompactPlacementValidates) {
@@ -145,7 +401,8 @@ TEST(IntraDevice, CompactPlacementValidates) {
 
 TEST(IntraDevice, RespectsMinStage) {
   const auto prog = dqaccProgram();
-  const auto occ = DeviceOccupancy::fresh(device::makeTofino());
+  const auto tofino = device::makeTofino();
+  const auto occ = DeviceOccupancy::fresh(tofino);
   std::vector<int> all;
   for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     all.push_back(static_cast<int>(i));
@@ -159,13 +416,15 @@ TEST(IntraDevice, InfeasibleWhenUnsupportedClass) {
   modules::ModuleLibrary lib;
   const auto prog = lib.compileTemplate(
       "KVS", "kvs", {{"CacheSize", 128}, {"ValDim", 2}, {"TH", 4}});
-  const auto occ = DeviceOccupancy::fresh(device::makeTofino());
+  const auto tofino = device::makeTofino();
+  const auto occ = DeviceOccupancy::fresh(tofino);
   std::vector<int> all;
   for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     all.push_back(static_cast<int>(i));
   }
   EXPECT_FALSE(placeCompact(occ, prog, all).feasible);  // BSEM on Tofino
-  const auto nfp_occ = DeviceOccupancy::fresh(device::makeNfp());
+  const auto nfp = device::makeNfp();
+  const auto nfp_occ = DeviceOccupancy::fresh(nfp);
   EXPECT_TRUE(placeCompact(nfp_occ, prog, all).feasible);
 }
 
@@ -186,7 +445,8 @@ TEST(IntraDevice, CommitReducesCapacity) {
 
 TEST(IntraDevice, ExhaustiveMatchesCompactFeasibility) {
   const auto prog = dqaccProgram();
-  const auto occ = DeviceOccupancy::fresh(device::makeTofino());
+  const auto tofino = device::makeTofino();
+  const auto occ = DeviceOccupancy::fresh(tofino);
   std::vector<int> all;
   for (std::size_t i = 0; i < prog.instrs.size(); ++i) {
     all.push_back(static_cast<int>(i));
@@ -610,7 +870,8 @@ TEST(OccupancyFingerprint, EqualStatesHashEqual) {
   const auto b = DeviceOccupancy::fresh(model);
   EXPECT_EQ(occupancyFingerprint(a), occupancyFingerprint(b));
   // Different models differ.
-  const auto nfp = DeviceOccupancy::fresh(device::makeNfp());
+  const auto nfp_model = device::makeNfp();
+  const auto nfp = DeviceOccupancy::fresh(nfp_model);
   EXPECT_NE(occupancyFingerprint(a), occupancyFingerprint(nfp));
 }
 

@@ -117,6 +117,25 @@ TEST_P(ServiceErrors, DeeplyNestedSourceYieldsParseErrorAndServiceLives) {
   EXPECT_TRUE(next.ok) << next.error.message();
 }
 
+TEST_P(ServiceErrors, LongElifChainYieldsParseErrorAndServiceLives) {
+  auto& svc = service();
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  std::string src = "if hdr.value == 0:\n    x = 0\n";
+  for (int arm = 1; arm < 100000; ++arm) {
+    src += cat("elif hdr.value == ", arm, ":\n    x = ", arm, "\n");
+  }
+  const auto r = submit(SubmitRequest::fromSource(
+      std::move(src), hdr, {}, trafficFor(svc, {"pod0a"}, "pod2b")));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.code, ErrorCode::kParseError);
+  EXPECT_EQ(r.error.stage, Stage::kCompile);
+  EXPECT_TRUE(svc.deployments().empty());
+  // The service is still usable.
+  const auto next = submit(dqaccRequest(svc));
+  EXPECT_TRUE(next.ok) << next.error.message();
+}
+
 TEST_P(ServiceErrors, UnknownTemplateYieldsItsOwnCode) {
   auto& svc = service();
   const auto r = submit(SubmitRequest::fromTemplate(
