@@ -65,34 +65,38 @@ void IrProgram::verify() const {
   for (std::size_t i = 0; i < instrs.size(); ++i) {
     const Instruction& ins = instrs[i];
     const OpcodeInfo& info = ins.info();
-    const std::string where = cat("instr #", i, " (", ins.toString(), ")");
+    // Built only when a check fails: stringifying every instruction
+    // dominated verify() on large unrolled programs.
+    const auto where = [&] {
+      return cat("instr #", i, " (", ins.toString(), ")");
+    };
 
     if (info.has_dest) {
-      CLICKINC_CHECK(!ins.dest.isNone(), where + ": missing dest");
+      CLICKINC_CHECK(!ins.dest.isNone(), where() + ": missing dest");
     }
     const int nsrc = static_cast<int>(ins.srcs.size());
-    CLICKINC_CHECK(nsrc >= info.min_srcs, where + ": too few sources");
+    CLICKINC_CHECK(nsrc >= info.min_srcs, where() + ": too few sources");
     if (info.max_srcs >= 0) {
-      CLICKINC_CHECK(nsrc <= info.max_srcs, where + ": too many sources");
+      CLICKINC_CHECK(nsrc <= info.max_srcs, where() + ": too many sources");
     }
     if (info.state != StateAccess::kNone) {
       CLICKINC_CHECK(ins.state_id >= 0 &&
                          ins.state_id < static_cast<int>(states.size()),
-                     where + ": bad state reference");
+                     where() + ": bad state reference");
     }
     if (ins.pred) {
       CLICKINC_CHECK(ins.pred->isNamed() || ins.pred->isConst(),
-                     where + ": predicate must be named or const");
-      CLICKINC_CHECK(ins.pred->width == 1, where + ": predicate must be 1b");
+                     where() + ": predicate must be named or const");
+      CLICKINC_CHECK(ins.pred->width == 1, where() + ": predicate must be 1b");
       if (ins.pred->isVar()) {
         CLICKINC_CHECK(defined.count(ins.pred->name) > 0,
-                       where + ": predicate use before def");
+                       where() + ": predicate use before def");
       }
     }
     for (const auto& s : ins.srcs) {
       if (s.isVar()) {
         CLICKINC_CHECK(defined.count(s.name) > 0,
-                       where + ": use of " + s.name + " before def");
+                       where() + ": use of " + s.name + " before def");
       }
     }
     if (ins.dest.isNamed()) defined.insert(ins.dest.name);

@@ -132,6 +132,7 @@ class Lowerer {
   std::string prefix_;
   std::string target_hint_ = "obj";
   int inline_depth_ = 0;
+  std::uint64_t unrolled_ = 0;  // loop iterations unrolled so far
 
   [[noreturn]] void fail(int line, const std::string& msg) const {
     throw CompileError(cat(prog_.name, ":", line, ": ", msg));
@@ -343,14 +344,20 @@ class Lowerer {
       step = vals[2];
       if (step == 0) fail(s.line, "range() step must be non-zero");
     }
-    if (hi > lo + 100000) fail(s.line, "loop unroll bound too large");
+    const std::uint64_t trips = hi > lo ? (hi - lo - 1) / step + 1 : 0;
+    if (trips > kMaxUnrollIterations - unrolled_) {
+      fail(s.line, cat("loop unroll budget exceeded: ", trips,
+                       " more iterations after ", unrolled_, " (at most ",
+                       kMaxUnrollIterations, " per program)"));
+    }
+    unrolled_ += trips;
     // Loop bodies are lexically scoped per iteration: names first bound in
     // the body are iteration-local (assignments to outer names still merge
     // in place through lookupName). This keeps unrolled index arithmetic
     // compile-time constant across iterations.
-    for (std::uint64_t i = lo; i < hi; i += step) {
+    for (std::uint64_t t = 0; t < trips; ++t) {
       scopes_.emplace_back();
-      bindName(s.loop_var, Binding::constant(i));
+      bindName(s.loop_var, Binding::constant(lo + t * step));
       execStmts(s.body);
       scopes_.pop_back();
     }
@@ -852,6 +859,25 @@ class Lowerer {
     return b.cval;
   }
 
+  // constArg bounded by a lowering limit.
+  std::uint64_t cappedArg(const Expr& e, const std::string& name,
+                          std::uint64_t def, std::uint64_t max) {
+    const std::uint64_t v = constArg(e, name, def);
+    if (v > max) {
+      fail(e.line, cat("'", name, "' = ", v, " exceeds the limit of ", max));
+    }
+    return v;
+  }
+
+  // Fails unless `count` more state objects fit the program's budget.
+  void checkStateBudget(const Expr& e, std::uint64_t count) {
+    if (count > kMaxStateObjects - prog_.states.size()) {
+      fail(e.line, cat(count, " more state objects after ",
+                       prog_.states.size(), " exceed the limit of ",
+                       kMaxStateObjects, " per program"));
+    }
+  }
+
   std::string strArg(const Expr& e, const std::string& name,
                      const std::string& def) {
     const Expr* a = kwArg(e, name);
@@ -892,8 +918,9 @@ class Lowerer {
 
   Binding ctorArray(const std::string& name, const Expr& e) {
     const std::uint64_t rows = constArg(e, "row", 1);
-    const std::uint64_t size = constArg(e, "size", 1024);
-    const std::uint64_t w = constArg(e, "w", 32);
+    checkStateBudget(e, rows);
+    const std::uint64_t size = cappedArg(e, "size", 1024, kMaxStateDepth);
+    const std::uint64_t w = cappedArg(e, "w", 32, kMaxValueWidth);
     auto obj = std::make_shared<ObjectHandle>();
     obj->kind = name == "Seq" ? ObjKind::kSeq : ObjKind::kArray;
     obj->depth = size;
@@ -918,7 +945,8 @@ class Lowerer {
 
   Binding ctorTable(const Expr& e) {
     const std::string type = strArg(e, "type", "exact");
-    const std::uint64_t size = constArg(e, "size", 1024);
+    checkStateBudget(e, 1);
+    const std::uint64_t size = cappedArg(e, "size", 1024, kMaxStateDepth);
     auto obj = std::make_shared<ObjectHandle>();
     obj->kind = ObjKind::kTable;
     obj->depth = size;
@@ -958,13 +986,15 @@ class Lowerer {
   Binding ctorSketch(const Expr& e) {
     const std::string type = strArg(e, "type", "count-min");
     const std::uint64_t rows = constArg(e, "rows", 3);
-    const std::uint64_t size = constArg(e, "size", 65536);
+    checkStateBudget(e, rows);
+    const std::uint64_t size = cappedArg(e, "size", 65536, kMaxStateDepth);
     auto obj = std::make_shared<ObjectHandle>();
     obj->kind = type == "bloom-filter" ? ObjKind::kBloom : ObjKind::kCms;
     obj->depth = size;
-    obj->value_width = obj->kind == ObjKind::kBloom
-                           ? 1
-                           : static_cast<int>(constArg(e, "w", 32));
+    obj->value_width =
+        obj->kind == ObjKind::kBloom
+            ? 1
+            : static_cast<int>(cappedArg(e, "w", 32, kMaxValueWidth));
     obj->key_width = bitsFor(size);
     obj->hash_type = strArg(e, "hash", "crc_32");
     for (std::uint64_t r = 0; r < rows; ++r) {

@@ -54,6 +54,17 @@ class TemplateResolver {
   virtual const TemplateDef* find(const std::string& name) const = 0;
 };
 
+// Lowering limits. A source past one fails with CompileError (the
+// service's kLowerError) before it can hang the compile or exhaust memory.
+// Unrolling is budgeted per program, so nested loops multiply against one
+// budget rather than each passing its own check.
+inline constexpr std::uint64_t kMaxUnrollIterations = 100'000;
+// State objects per program: one per Array/Seq `row`, Sketch `rows` and
+// Table, counted across every constructor (a loop of constructors too).
+inline constexpr std::uint64_t kMaxStateObjects = 4096;
+inline constexpr std::uint64_t kMaxStateDepth = 1ULL << 32;  // `size`
+inline constexpr std::uint64_t kMaxValueWidth = 64;          // `w`, bits
+
 struct CompileOptions {
   std::string program_name = "prog";
   // Profile-provided compile-time constants (e.g. TH, Num_agg, REQUEST).

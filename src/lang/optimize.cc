@@ -2,6 +2,9 @@
 
 #include <map>
 #include <set>
+#include <string_view>
+#include <unordered_map>
+#include <vector>
 
 #include "util/strings.h"
 
@@ -135,38 +138,72 @@ int rebalanceFlagChains(ir::IrProgram* prog) {
 
 int eliminateDeadCode(ir::IrProgram* prog) {
   auto& instrs = prog->instrs;
-  const std::size_t before = instrs.size();
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    std::set<std::string> used;
-    for (const auto& ins : instrs) {
-      for (const auto& s : ins.srcs) {
-        if (s.isNamed()) used.insert(s.name);
-      }
-      if (ins.pred && ins.pred->isNamed()) used.insert(ins.pred->name);
+  const std::size_t n = instrs.size();
+  // An instruction survives when it has a side effect or some surviving
+  // instruction reads a name it defines (by name, whatever the operand
+  // kind). One worklist pass over per-name use counts computes that
+  // greatest fixpoint: removing an instruction releases its reads, and a
+  // name whose count drops to zero re-queues its pure definers.
+  std::unordered_map<std::string_view, std::size_t> id_of;
+  std::vector<int> uses;
+  std::vector<std::vector<int>> pure_defs;  // per name id
+  auto idOf = [&](const std::string& name) {
+    const auto [it, inserted] = id_of.try_emplace(name, uses.size());
+    if (inserted) {
+      uses.push_back(0);
+      pure_defs.emplace_back();
     }
-    std::vector<Instruction> out;
-    out.reserve(instrs.size());
-    for (auto& ins : instrs) {
-      const auto& info = ins.info();
-      const bool side_effect =
-          info.packet_action ||
-          info.state == ir::StateAccess::kWrite ||
-          info.state == ir::StateAccess::kReadWrite ||
-          ins.dest.isField() || ins.dest2.isField();
-      const bool result_used =
-          (ins.dest.isVar() && used.count(ins.dest.name)) ||
-          (ins.dest2.isVar() && used.count(ins.dest2.name));
-      if (side_effect || result_used) {
-        out.push_back(std::move(ins));
-      } else {
-        changed = true;
-      }
+    return it->second;
+  };
+  auto forEachRead = [](const Instruction& ins, auto&& fn) {
+    for (const auto& s : ins.srcs) {
+      if (s.isNamed()) fn(s.name);
     }
-    instrs = std::move(out);
+    if (ins.pred && ins.pred->isNamed()) fn(ins.pred->name);
+  };
+  std::vector<char> pure(n, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    const auto& ins = instrs[k];
+    forEachRead(ins, [&](const std::string& name) { ++uses[idOf(name)]; });
+    const auto& info = ins.info();
+    pure[k] = !(info.packet_action ||
+                info.state == ir::StateAccess::kWrite ||
+                info.state == ir::StateAccess::kReadWrite ||
+                ins.dest.isField() || ins.dest2.isField());
+    if (!pure[k]) continue;
+    const int def = static_cast<int>(k);
+    if (ins.dest.isVar()) pure_defs[idOf(ins.dest.name)].push_back(def);
+    if (ins.dest2.isVar()) pure_defs[idOf(ins.dest2.name)].push_back(def);
   }
-  return static_cast<int>(before - instrs.size());
+  auto resultUsed = [&](const Instruction& ins) {
+    return (ins.dest.isVar() && uses[id_of.at(ins.dest.name)] > 0) ||
+           (ins.dest2.isVar() && uses[id_of.at(ins.dest2.name)] > 0);
+  };
+  std::vector<char> dead(n, 0);
+  std::vector<int> work;
+  for (std::size_t k = n; k-- > 0;) {
+    if (pure[k]) work.push_back(static_cast<int>(k));
+  }
+  while (!work.empty()) {
+    const auto k = static_cast<std::size_t>(work.back());
+    work.pop_back();
+    if (dead[k] || resultUsed(instrs[k])) continue;
+    dead[k] = 1;
+    forEachRead(instrs[k], [&](const std::string& name) {
+      const std::size_t id = id_of.at(name);
+      if (--uses[id] == 0) {
+        const auto& defs = pure_defs[id];
+        work.insert(work.end(), defs.begin(), defs.end());
+      }
+    });
+  }
+  std::vector<Instruction> out;
+  out.reserve(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    if (!dead[k]) out.push_back(std::move(instrs[k]));
+  }
+  instrs = std::move(out);
+  return static_cast<int>(n - instrs.size());
 }
 
 void optimizeProgram(ir::IrProgram* prog) {

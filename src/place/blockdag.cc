@@ -2,6 +2,10 @@
 
 #include <algorithm>
 #include <iterator>
+#include <limits>
+#include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "util/error.h"
 
@@ -149,6 +153,91 @@ void assignLevels(std::vector<WorkNode>& nodes, MergeScratch& scratch) {
   CLICKINC_CHECK(done == live, "cycle in block DAG");
 }
 
+// Every cut's ir::paramBitsAcrossCut(instrsOf(0, i), instrsOf(i, n)) in
+// one backward sweep over the blocks. A variable crosses cut i exactly
+// when its first defining block lies before i and some use lies at or
+// after i; it counts once, at the width of its first use after the cut
+// in program order (instruction index, then source position, guard
+// last). Walking i downward only adds uses, so each variable's earliest
+// use — and the running sum — updates in place: O(operands) in total.
+void sweepCutBits(const ir::IrProgram& prog, const std::vector<Block>& blocks,
+                  std::vector<int>& cut_bits) {
+  const int n = static_cast<int>(blocks.size());
+  if (n < 2) return;
+  struct Var {
+    int def_block = std::numeric_limits<int>::max();
+    bool used = false;
+    bool crossing = false;  // counted in the running sum
+    int first_instr = 0;    // earliest use seen so far
+    std::size_t first_pos = 0;
+    int width = 0;          // its operand width
+  };
+  std::unordered_map<std::string_view, int> id_of;
+  std::vector<Var> vars;
+  auto varOf = [&](const ir::Operand& o) -> Var& {
+    const auto [it, inserted] =
+        id_of.try_emplace(o.name, static_cast<int>(vars.size()));
+    if (inserted) vars.emplace_back();
+    return vars[static_cast<std::size_t>(it->second)];
+  };
+  for (int b = 0; b < n; ++b) {
+    for (int idx : blocks[static_cast<std::size_t>(b)].instrs) {
+      const auto& ins = prog.instrs[static_cast<std::size_t>(idx)];
+      for (const ir::Operand* d : {&ins.dest, &ins.dest2}) {
+        if (!d->isVar()) continue;
+        Var& v = varOf(*d);
+        v.def_block = std::min(v.def_block, b);
+      }
+    }
+  }
+  int bits = 0;
+  std::vector<Var*> newly_used;
+  for (int b = n - 1; b >= 1; --b) {
+    newly_used.clear();
+    const auto& blk = blocks[static_cast<std::size_t>(b)];
+    for (int idx : blk.instrs) {
+      const auto& ins = prog.instrs[static_cast<std::size_t>(idx)];
+      auto use = [&](const ir::Operand& o, std::size_t pos) {
+        if (!o.isVar()) return;
+        const auto it = id_of.find(o.name);
+        if (it == id_of.end()) return;  // never defined: not a Param
+        Var& v = vars[static_cast<std::size_t>(it->second)];
+        if (v.used && std::pair(v.first_instr, v.first_pos) <
+                          std::pair(idx, pos)) {
+          return;
+        }
+        if (!v.used) newly_used.push_back(&v);
+        if (v.crossing) bits += o.width - v.width;
+        v.used = true;
+        v.first_instr = idx;
+        v.first_pos = pos;
+        v.width = o.width;
+      };
+      for (std::size_t k = 0; k < ins.srcs.size(); ++k) use(ins.srcs[k], k);
+      if (ins.pred) use(*ins.pred, ins.srcs.size());
+    }
+    // Defined only from block b on: no longer defined before the cut.
+    for (int idx : blk.instrs) {
+      const auto& ins = prog.instrs[static_cast<std::size_t>(idx)];
+      for (const ir::Operand* d : {&ins.dest, &ins.dest2}) {
+        if (!d->isVar()) continue;
+        Var& v = vars[static_cast<std::size_t>(id_of.at(d->name))];
+        if (v.crossing && v.def_block == b) {
+          bits -= v.width;
+          v.crossing = false;
+        }
+      }
+    }
+    for (Var* v : newly_used) {
+      if (v->def_block < b) {
+        bits += v->width;
+        v->crossing = true;
+      }
+    }
+    cut_bits[static_cast<std::size_t>(b)] = bits;
+  }
+}
+
 }  // namespace
 
 BlockDag BlockDag::build(const ir::IrProgram& prog,
@@ -274,10 +363,7 @@ void BlockDag::finalize() {
   const int n = size();
   cut_bits_.assign(static_cast<std::size_t>(n) + 1, 0);
   prefix_score_.assign(static_cast<std::size_t>(n) + 1, 0.0);
-  for (int i = 1; i < n; ++i) {
-    cut_bits_[static_cast<std::size_t>(i)] =
-        ir::paramBitsAcrossCut(*prog_, instrsOf(0, i), instrsOf(i, n));
-  }
+  sweepCutBits(*prog_, blocks_, cut_bits_);
   for (int i = 0; i < n; ++i) {
     prefix_score_[static_cast<std::size_t>(i) + 1] =
         prefix_score_[static_cast<std::size_t>(i)] +

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <set>
-#include <unordered_map>
 
 #include "place/blockdag.h"
 #include "util/bits.h"
@@ -202,33 +201,52 @@ std::uint64_t segmentFingerprint(const ir::IrProgram& prog,
                                  const ir::Analysis& an,
                                  const std::vector<int>& instrs) {
   std::uint64_t h = foldValue(0xC0FFEEULL, instrs.size());
-  // Local index of each member, so dependency edges hash positionally and
-  // the fingerprint is insensitive to the segment's absolute offset.
-  std::unordered_map<int, int> local;
-  local.reserve(instrs.size() * 2);
-  for (std::size_t k = 0; k < instrs.size(); ++k) {
-    local.emplace(instrs[k], static_cast<int>(k));
+  // Local index of each member (first occurrence wins), so dependency
+  // edges hash positionally and the fingerprint is insensitive to the
+  // segment's absolute offset; and each referenced state's slot in
+  // first-touch order. Both are flat per-thread tables over program
+  // indices, reset after use, so a call costs O(|instrs|) without hashing.
+  thread_local std::vector<int> local;
+  thread_local std::vector<int> state_local;
+  if (local.size() < prog.instrs.size()) local.resize(prog.instrs.size(), -1);
+  if (state_local.size() < prog.states.size()) {
+    state_local.resize(prog.states.size(), -1);
   }
-  std::unordered_map<int, int> state_local;
-  std::vector<int> state_order;  // first-touch order of referenced states
+  thread_local std::vector<int> state_order;  // first-touch state order
+  state_order.clear();
+  // Leaves both tables all -1 again however the call exits.
+  struct Reset {
+    const std::vector<int>& instrs;
+    ~Reset() {
+      for (int sid : state_order) {
+        state_local[static_cast<std::size_t>(sid)] = -1;
+      }
+      for (int idx : instrs) local[static_cast<std::size_t>(idx)] = -1;
+    }
+  } reset{instrs};
+  for (std::size_t k = 0; k < instrs.size(); ++k) {
+    int& slot = local[static_cast<std::size_t>(instrs[k])];
+    if (slot < 0) slot = static_cast<int>(k);
+  }
   for (std::size_t k = 0; k < instrs.size(); ++k) {
     const auto& ins = prog.instrs[static_cast<std::size_t>(instrs[k])];
     h = foldValue(h, static_cast<std::uint64_t>(ins.op));
     int state_slot = -1;
     if (ins.state_id >= 0) {
-      auto [it, inserted] =
-          state_local.emplace(ins.state_id,
-                              static_cast<int>(state_local.size()));
-      if (inserted) state_order.push_back(ins.state_id);
-      state_slot = it->second;
+      int& slot = state_local[static_cast<std::size_t>(ins.state_id)];
+      if (slot < 0) {
+        state_order.push_back(ins.state_id);
+        slot = static_cast<int>(state_order.size()) - 1;
+      }
+      state_slot = slot;
     }
     h = foldValue(h, static_cast<std::uint64_t>(state_slot + 1));
     h = foldDemand(h, device::instrDemand(ins));
     for (int j : an.dep.deps[static_cast<std::size_t>(instrs[k])]) {
-      auto it = local.find(j);
-      if (it == local.end()) continue;  // producer outside the segment
+      const int pos = local[static_cast<std::size_t>(j)];
+      if (pos < 0) continue;  // producer outside the segment
       h = foldValue(h, (static_cast<std::uint64_t>(k) << 20) ^
-                           static_cast<std::uint64_t>(it->second));
+                           static_cast<std::uint64_t>(pos));
       h = foldValue(h, an.sameScc(instrs[k], j) ? 0x2 : 0x1);
     }
   }
@@ -240,7 +258,7 @@ std::uint64_t segmentFingerprint(const ir::IrProgram& prog,
   return h;
 }
 
-IntraMemo::Claim IntraMemo::claim(const MemoKey& key, IntraPlacement* out) {
+IntraMemo::Claim IntraMemo::claim(const MemoKey& key, Handle* out) {
   Shard& shard = shardOf(key);
   std::unique_lock<std::mutex> lock(shard.mu);
   auto [it, inserted] = shard.map.try_emplace(key);
@@ -260,7 +278,7 @@ IntraMemo::Claim IntraMemo::claim(const MemoKey& key, IntraPlacement* out) {
     // intra_calls/steps deterministic. Node-based map entries are
     // address-stable across concurrent inserts, and the waiter count
     // shields the slot from eviction until every claimant (blocked or
-    // woken-but-unscheduled) has copied its result out.
+    // woken-but-unscheduled) has taken its handle.
     ++entry.waiters;
     shard.ready_cv.wait(lock, [&] { return entry.ready; });
     --entry.waiters;
@@ -279,12 +297,12 @@ IntraMemo::Claim IntraMemo::claim(const MemoKey& key, IntraPlacement* out) {
   return c;
 }
 
-void IntraMemo::publish(const Claim& claim, const IntraPlacement& placement) {
+void IntraMemo::publish(const Claim& claim, Handle placement) {
   Shard& shard = shards_[static_cast<std::size_t>(claim.shard)];
   std::lock_guard<std::mutex> lock(shard.mu);
   if (shard.map.size() >= kMaxEntriesPerShard) evictReady(shard);
   Entry& entry = *static_cast<Entry*>(claim.entry);
-  entry.placement = placement;
+  entry.placement = std::move(placement);
   entry.ready = true;
   shard.ready_cv.notify_all();
 }
@@ -310,30 +328,6 @@ void IntraMemo::evictReady(Shard& shard) {
       ++it;
     }
   }
-}
-
-const IntraPlacement* IntraMemo::find(const MemoKey& key) {
-  Shard& shard = shardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  if (it == shard.map.end() || !it->second.ready || it->second.failed) {
-    ++shard.misses;
-    return nullptr;
-  }
-  ++shard.hits;
-  return &it->second.placement;
-}
-
-const IntraPlacement& IntraMemo::put(const MemoKey& key,
-                                     IntraPlacement placement) {
-  Shard& shard = shardOf(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.map.size() >= kMaxEntriesPerShard) evictReady(shard);
-  Entry& entry = shard.map[key];
-  entry.placement = std::move(placement);
-  entry.ready = true;
-  entry.failed = false;
-  return entry.placement;
 }
 
 long IntraMemo::hits() const {

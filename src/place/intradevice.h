@@ -18,6 +18,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -116,6 +117,10 @@ struct MemoKeyHash {
 // sequential and parallel placement paths.
 class IntraMemo {
  public:
+  // Shared, immutable memo result. A hit hands out the leader's handle,
+  // so reuse costs a reference-count bump instead of a deep copy.
+  using Handle = std::shared_ptr<const IntraPlacement>;
+
   // Handle of a claimed-but-unpublished slot (leader == true). The
   // claimant MUST publish() exactly once; followers block on the slot
   // until it does.
@@ -129,25 +134,24 @@ class IntraMemo {
   };
 
   // Exactly-once lookup. On a hit (or after waiting out another thread's
-  // in-flight compute) copies the placement into *out and returns a
+  // in-flight compute) stores the published handle in *out and returns a
   // non-leader claim. On a miss, reserves the slot and returns a leader
   // claim: the caller computes the placement and publish()es it — or, if
   // the computation throws, publishError()s so waiters elect a new
   // leader instead of inheriting a fabricated result.
-  Claim claim(const MemoKey& key, IntraPlacement* out);
-  void publish(const Claim& claim, const IntraPlacement& placement);
+  Claim claim(const MemoKey& key, Handle* out);
+  // Entries are program-agnostic: the key fingerprints the segment's
+  // content, not its instruction indices, so the leader publishes with
+  // instr_idxs cleared and each reader supplies its own program's list.
+  void publish(const Claim& claim, Handle placement);
   void publishError(const Claim& claim);
-
-  // Single-threaded convenience API (used by tests and one-shot callers).
-  // The returned pointer is invalidated by the next mutation of the
-  // key's shard — copy immediately.
-  const IntraPlacement* find(const MemoKey& key);
-  const IntraPlacement& put(const MemoKey& key, IntraPlacement placement);
 
   long hits() const;
   long misses() const;
   std::size_t size() const;
-  void clear();  // callers must be quiescent (no in-flight claims)
+  // Callers must be quiescent (no in-flight claims). Handles already
+  // handed out stay valid: they share ownership of their placement.
+  void clear();
 
  private:
   // Wholesale eviction bound per shard; placements are small and keyed by
@@ -159,7 +163,7 @@ class IntraMemo {
   static constexpr std::size_t kMaxEntriesPerShard = (1 << 16) / kShards;
 
   struct Entry {
-    IntraPlacement placement;
+    Handle placement;
     bool ready = false;
     bool failed = false;  // leader threw; next claimant re-leads
     int waiters = 0;      // claims blocked on (or waking for) this slot

@@ -450,19 +450,19 @@ class TreePlacer {
   // memo claim is exactly-once even under the pool: concurrent requests
   // for one key elect a single leader to run the search and the rest wait
   // for its published result, keeping intra_calls / steps deterministic.
-  IntraPlacement placeOn(int dev, int i, int j, WorkCtx& ctx) {
+  // A hit shares the leader's handle; the result carries no instruction
+  // list (emitAssignment builds it for the segments that reach the plan).
+  Segment::Probe placeOn(int dev, int i, int j, WorkCtx& ctx) {
     const DeviceOccupancy& occ = occ_.of(dev);
-    MemoKey key;
+    Segment::Probe probe{dev, true, nullptr};
     IntraMemo::Claim claim;
     if (opts_.fast) {
-      key = {occ_fp_[static_cast<std::size_t>(dev)], segFp(i, j)};
-      IntraPlacement cached;
-      claim = arena_->memo().claim(key, &cached);
+      const MemoKey key{occ_fp_[static_cast<std::size_t>(dev)], segFp(i, j)};
+      claim = arena_->memo().claim(key, &probe.placement);
       if (!claim.leader) {
         ++ctx.stats.intra_memo_hits;
-        cached.instr_idxs = dag_.instrsOf(i, j);  // remap to this program
-        cached.steps = 0;                         // no search performed
-        return cached;
+        probe.leader = false;
+        return probe;
       }
     }
     ++ctx.stats.intra_calls;
@@ -482,8 +482,10 @@ class TreePlacer {
       throw;
     }
     ctx.steps += p.steps;
-    if (opts_.fast) arena_->memo().publish(claim, p);
-    return p;
+    p.instr_idxs = std::vector<int>();  // program-agnostic; frees the list
+    probe.placement = std::make_shared<const IntraPlacement>(std::move(p));
+    if (opts_.fast) arena_->memo().publish(claim, probe.placement);
+    return probe;
   }
 
   const Segment* cachedSegment(int node, int i, int j, WorkCtx& ctx) {
@@ -513,14 +515,15 @@ class TreePlacer {
     }
     // Try the whole segment on the EC's main devices.
     bool all_ok = true;
-    std::map<int, IntraPlacement> main;
+    std::vector<Segment::Probe> main;
+    main.reserve(tn.devices.size());
     for (int dev : tn.devices) {
-      IntraPlacement p = placeOn(dev, i, j, ctx);
-      if (!p.feasible) {
+      Segment::Probe p = placeOn(dev, i, j, ctx);
+      if (!p.placement->feasible) {
         all_ok = false;
         break;
       }
-      main.emplace(dev, std::move(p));
+      main.push_back(std::move(p));
     }
     if (all_ok) {
       seg.feasible = true;
@@ -532,7 +535,7 @@ class TreePlacer {
     // Overflow onto the bypass accelerator: main [i, k), bypass [k, j).
     if (tn.bypass != nullptr) {
       for (int k = j - 1; k >= i; --k) {
-        std::map<int, IntraPlacement> on_main, on_acc;
+        std::vector<Segment::Probe> on_main, on_acc;
         bool ok = true;
         for (int dev : tn.devices) {
           const int acc = topo_.node(dev).attached_accel;
@@ -540,14 +543,14 @@ class TreePlacer {
             ok = false;
             break;
           }
-          IntraPlacement pm = placeOn(dev, i, k, ctx);
-          IntraPlacement pa = placeOn(acc, k, j, ctx);
-          if (!pm.feasible || !pa.feasible) {
+          Segment::Probe pm = placeOn(dev, i, k, ctx);
+          Segment::Probe pa = placeOn(acc, k, j, ctx);
+          if (!pm.placement->feasible || !pa.placement->feasible) {
             ok = false;
             break;
           }
-          on_main.emplace(dev, std::move(pm));
-          on_acc.emplace(acc, std::move(pa));
+          on_main.push_back(std::move(pm));
+          on_acc.push_back(std::move(pa));
         }
         if (!ok) continue;
         seg.feasible = true;
@@ -568,11 +571,13 @@ class TreePlacer {
   // by its bypass (or there is none): no split of any superset can host
   // it, so the infeasibility is monotone in j.
   bool opsUnplaceable(const topo::EcTreeNode& tn, int i, int j) {
-    for (int idx : dag_.instrsOf(i, j)) {
-      const auto op = dag_.prog().instrs[static_cast<std::size_t>(idx)].op;
-      if (!tn.model->supportsOpcode(op) &&
-          (tn.bypass == nullptr || !tn.bypass->supportsOpcode(op))) {
-        return true;
+    for (int b = i; b < j; ++b) {
+      for (int idx : dag_.blocks()[static_cast<std::size_t>(b)].instrs) {
+        const auto op = dag_.prog().instrs[static_cast<std::size_t>(idx)].op;
+        if (!tn.model->supportsOpcode(op) &&
+            (tn.bypass == nullptr || !tn.bypass->supportsOpcode(op))) {
+          return true;
+        }
       }
     }
     return false;
@@ -740,9 +745,29 @@ class TreePlacer {
     const Segment* seg = cachedSegment(node, i, j, ctx);
     CLICKINC_CHECK(seg->feasible, "backtracked into infeasible segment");
     a.bypass_from = seg->bypass_from;
-    a.on_device = seg->on_device;
-    a.on_bypass = seg->on_bypass;
+    const int split = seg->bypass_from >= 0 ? seg->bypass_from : j;
+    a.on_device = materialize(seg->on_device, i, split);
+    if (!seg->on_bypass.empty()) {
+      a.on_bypass = materialize(seg->on_bypass, split, j);
+    }
     plan->assignments.push_back(std::move(a));
+  }
+
+  // The placements of one probed range as plan entries: one instruction
+  // list for blocks [from, to), shared by every device; a memo follower
+  // reports no search steps. The first probe of a device wins, as in a
+  // map built by emplace.
+  std::map<int, IntraPlacement> materialize(
+      const std::vector<Segment::Probe>& probes, int from, int to) {
+    const std::vector<int> instrs = dag_.instrsOf(from, to);
+    std::map<int, IntraPlacement> out;
+    for (const auto& probe : probes) {
+      auto [it, inserted] = out.emplace(probe.dev, *probe.placement);
+      if (!inserted) continue;
+      it->second.instr_idxs = instrs;
+      if (!probe.leader) it->second.steps = 0;  // no search performed
+    }
+    return out;
   }
 
   void backtrackClient(int node, int j, PlacementPlan* plan, WorkCtx& ctx) {

@@ -164,8 +164,16 @@ struct Segment {
   // segment), so only this flag licenses the server-chain early exit.
   bool monotone_infeasible = false;
   int bypass_from = -1;
-  std::map<int, IntraPlacement> on_device;
-  std::map<int, IntraPlacement> on_bypass;
+  // One placeOn result. The handle is shared with the memo and carries no
+  // instruction list: emitAssignment materializes NodeAssignment maps
+  // from the probes of the few segments that reach the plan.
+  struct Probe {
+    int dev = -1;
+    bool leader = false;  // this run searched it (its steps are kept)
+    IntraMemo::Handle placement;
+  };
+  std::vector<Probe> on_device;  // main devices, blocks [i, split)
+  std::vector<Probe> on_bypass;  // bypass cards, blocks [split, j)
   double resource_score = 0;  // summed over replicated devices
   int internal_cut_bits = 0;
 };

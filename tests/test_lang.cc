@@ -1,11 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <set>
 #include <string>
 
 #include "ir/analysis.h"
 #include "ir/interp.h"
 #include "lang/ast.h"
 #include "lang/lower.h"
+#include "lang/optimize.h"
 #include "lang/token.h"
 #include "util/error.h"
 #include "util/strings.h"
@@ -229,6 +232,105 @@ TEST(Lower, DeadCodeEliminated) {
   EXPECT_TRUE(p.instrs.empty());
 }
 
+// The round-based elimination the worklist pass replaced: rescan the
+// whole program for used names, drop every pure instruction whose
+// results are unread, repeat until nothing changes.
+int referenceDeadCode(ir::IrProgram* prog) {
+  auto& instrs = prog->instrs;
+  const std::size_t before = instrs.size();
+  for (bool changed = true; changed;) {
+    changed = false;
+    std::set<std::string> used;
+    for (const auto& ins : instrs) {
+      for (const auto& s : ins.srcs) {
+        if (s.isNamed()) used.insert(s.name);
+      }
+      if (ins.pred && ins.pred->isNamed()) used.insert(ins.pred->name);
+    }
+    std::vector<ir::Instruction> out;
+    for (auto& ins : instrs) {
+      const auto& info = ins.info();
+      const bool side_effect =
+          info.packet_action || info.state == ir::StateAccess::kWrite ||
+          info.state == ir::StateAccess::kReadWrite || ins.dest.isField() ||
+          ins.dest2.isField();
+      const bool result_used =
+          (ins.dest.isVar() && used.count(ins.dest.name)) ||
+          (ins.dest2.isVar() && used.count(ins.dest2.name));
+      if (side_effect || result_used) {
+        out.push_back(std::move(ins));
+      } else {
+        changed = true;
+      }
+    }
+    instrs = std::move(out);
+  }
+  return static_cast<int>(before - instrs.size());
+}
+
+// Random name-level programs: pure adds over a name pool (so names are
+// redefined, read by themselves, and form dead chains and cycles),
+// predicated ones, two-destination lookups, and field writes and drops
+// that anchor some chains as live.
+ir::IrProgram randomDeadCodeProgram(std::uint64_t seed) {
+  Rng rng(seed);
+  ir::IrProgram prog;
+  const auto var = [&](int width) {
+    return ir::Operand::var(cat("v", rng.nextBelow(80)), width);
+  };
+  const auto field = [&] {
+    return ir::Operand::field(cat("hdr.f", rng.nextBelow(4)), 32);
+  };
+  for (int k = 0; k < 120; ++k) {
+    const auto kind = rng.nextBelow(10);
+    ir::Instruction ins(ir::Opcode::kAdd, var(32), {var(32), field()});
+    if (kind == 0) ins.dest = ir::Operand::field("hdr.out", 32);
+    if (kind == 1) ins = ir::Instruction(ir::Opcode::kDrop, {}, {});
+    if (kind == 2) ins.pred = var(1);
+    if (kind == 3) ins.dest2 = var(1);
+    prog.instrs.push_back(std::move(ins));
+  }
+  return prog;
+}
+
+TEST(Lower, DeadCodeMatchesRoundBasedReference) {
+  long removed_total = 0, kept_total = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    auto got = randomDeadCodeProgram(seed);
+    auto want = got;
+    const int removed = eliminateDeadCode(&got);
+    removed_total += removed;
+    kept_total += static_cast<long>(got.instrs.size());
+    EXPECT_EQ(removed, referenceDeadCode(&want)) << "seed " << seed;
+    ASSERT_EQ(got.instrs.size(), want.instrs.size()) << "seed " << seed;
+    for (std::size_t k = 0; k < got.instrs.size(); ++k) {
+      EXPECT_EQ(got.instrs[k].toString(), want.instrs[k].toString())
+          << "seed " << seed << " instr " << k;
+    }
+  }
+  // The generator exercises both outcomes.
+  EXPECT_GT(removed_total, 1000);
+  EXPECT_GT(kept_total, 1000);
+}
+
+TEST(Lower, LongDeadChainLowersInLinearTime) {
+  // Each iteration extends a chain that nothing reads. Round-based
+  // elimination peeled one link per whole-program rescan (quadratic:
+  // about 40 minutes at this length).
+  HeaderSpec hdr;
+  hdr.add("value", 32);
+  const auto t0 = std::chrono::steady_clock::now();
+  const auto p = lower(
+      cat("x = 0\nfor a in range(", kMaxUnrollIterations,
+          "):\n    x = x + hdr.value\n"),
+      hdr);
+  const double s = std::chrono::duration<double>(
+                       std::chrono::steady_clock::now() - t0)
+                       .count();
+  EXPECT_TRUE(p.instrs.empty());
+  EXPECT_LT(s, 10.0);
+}
+
 TEST(Lower, FlagChainRebalanced) {
   HeaderSpec hdr;
   hdr.add("data", 32, 16);
@@ -292,6 +394,63 @@ TEST(Lower, NonConstantLoopBoundRejected) {
   hdr.add("n", 32);
   EXPECT_THROW(lower("for i in range(hdr.n):\n    x = i\n", hdr),
                CompileError);
+}
+
+TEST(Lower, UnrollBudgetIsProgramWide) {
+  HeaderSpec hdr;
+  hdr.add("v", 32);
+  // One loop may use the whole budget...
+  EXPECT_NO_THROW(lower(cat("for i in range(", kMaxUnrollIterations,
+                            "):\n    hdr.v = i\n"),
+                        hdr));
+  EXPECT_THROW(lower(cat("for i in range(", kMaxUnrollIterations + 1,
+                         "):\n    hdr.v = i\n"),
+                     hdr),
+               CompileError);
+  // ...but loops share it: nested loops multiply, sequential ones add.
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW(lower("for i in range(100000):\n"
+                     "    for j in range(100000):\n"
+                     "        hdr.v = j\n",
+                     hdr),
+               CompileError);
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            10.0);
+  EXPECT_THROW(lower("for i in range(60000):\n    hdr.v = i\n"
+                     "for i in range(60000):\n    hdr.v = i\n",
+                     hdr),
+               CompileError);
+  // A step counts iterations, not the span of the range.
+  EXPECT_NO_THROW(lower(cat("for i in range(0, ", 2 * kMaxUnrollIterations,
+                            ", 2):\n    hdr.v = i\n"),
+                        hdr));
+}
+
+TEST(Lower, StateSizesAreCapped) {
+  const auto rejects = [](const std::string& src) {
+    try {
+      lower(src);
+    } catch (const CompileError&) {
+      return true;
+    }
+    return false;
+  };
+  EXPECT_TRUE(rejects("a = Array(row=1099511627776, size=16, w=32)\n"));
+  EXPECT_TRUE(rejects(cat("a = Array(row=", kMaxStateObjects + 1, ")\n")));
+  EXPECT_TRUE(rejects(cat("a = Array(size=", kMaxStateDepth + 1, ")\n")));
+  EXPECT_TRUE(rejects(cat("a = Array(w=", kMaxValueWidth + 1, ")\n")));
+  EXPECT_TRUE(rejects("a = Array(w=4294967328)\n"));  // 2^32 + 32
+  EXPECT_TRUE(rejects(cat("t = Table(size=", kMaxStateDepth + 1, ")\n")));
+  EXPECT_TRUE(rejects(cat("s = Sketch(rows=", kMaxStateObjects + 1, ")\n")));
+  EXPECT_TRUE(rejects(cat("s = Sketch(size=", kMaxStateDepth + 1, ")\n")));
+  EXPECT_TRUE(rejects(cat("s = Sketch(w=", kMaxValueWidth + 1, ")\n")));
+  // The state budget spans constructors, including ones in a loop.
+  EXPECT_TRUE(rejects("for i in range(2):\n    a = Array(row=4000)\n"));
+  EXPECT_FALSE(rejects(cat("a = Array(row=", kMaxStateObjects,
+                           ", size=", kMaxStateDepth, ", w=",
+                           kMaxValueWidth, ")\n")));
 }
 
 TEST(Lower, IfBecomesPredication) {

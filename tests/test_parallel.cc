@@ -5,6 +5,12 @@
 // parallel schedules are race-free, not just deterministic-by-luck.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <memory>
+#include <thread>
+#include <vector>
+
 #include "core/service.h"
 #include "emu/emulator.h"
 #include "modules/templates.h"
@@ -171,6 +177,106 @@ TEST_F(ParallelPlacement, SharedArenaCommitsStayIdentical) {
   }
   EXPECT_EQ(arena_par.memo().hits(), arena_seq.memo().hits());
   EXPECT_EQ(arena_par.memo().misses(), arena_seq.memo().misses());
+}
+
+// --- the intra-placement memo's claim/publish protocol ---
+
+place::IntraMemo::Handle placementWithStages(int stages) {
+  place::IntraPlacement p;
+  p.feasible = true;
+  p.stages_used = stages;
+  p.stage_of = {0, stages - 1};
+  return std::make_shared<const place::IntraPlacement>(std::move(p));
+}
+
+TEST(IntraMemo, OneLeaderPerKeyAndFollowersShareItsHandle) {
+  place::IntraMemo memo;
+  const place::MemoKey key{0x1234, 0x5678};
+  constexpr int kThreads = 8;
+  std::atomic<int> leaders{0};
+  std::atomic<int> ready{0};
+  std::vector<place::IntraMemo::Handle> got(kThreads);
+  place::IntraMemo::Handle published;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      place::IntraMemo::Handle h;
+      const auto claim = memo.claim(key, &h);
+      if (!claim.leader) {
+        got[static_cast<std::size_t>(t)] = std::move(h);
+        return;
+      }
+      ++leaders;
+      EXPECT_EQ(h, nullptr);
+      // Let the other claimants queue up behind the in-flight slot.
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      published = placementWithStages(3);
+      got[static_cast<std::size_t>(t)] = published;
+      memo.publish(claim, published);
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(leaders.load(), 1);
+  ASSERT_NE(published, nullptr);
+  for (const auto& h : got) EXPECT_EQ(h.get(), published.get());
+  EXPECT_EQ(memo.misses(), 1);
+  EXPECT_EQ(memo.hits(), kThreads - 1);
+  EXPECT_EQ(memo.size(), 1u);
+}
+
+TEST(IntraMemo, WaiterReleadsAfterLeaderError) {
+  place::IntraMemo memo;
+  const place::MemoKey key{7, 9};
+  place::IntraMemo::Handle h;
+  const auto first = memo.claim(key, &h);
+  ASSERT_TRUE(first.leader);
+  // The second claimant either blocks on the in-flight slot or arrives
+  // after the error; both ways it must take over the leadership.
+  place::IntraMemo::Handle waiter_got;
+  bool waiter_led = false;
+  place::IntraMemo::Handle republished = placementWithStages(2);
+  std::thread waiter([&] {
+    const auto claim = memo.claim(key, &waiter_got);
+    waiter_led = claim.leader;
+    if (claim.leader) memo.publish(claim, republished);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  memo.publishError(first);
+  waiter.join();
+  EXPECT_TRUE(waiter_led);
+  EXPECT_EQ(waiter_got, nullptr);
+  // The re-led result is what later claimants share.
+  place::IntraMemo::Handle later;
+  EXPECT_FALSE(memo.claim(key, &later).leader);
+  EXPECT_EQ(later.get(), republished.get());
+  EXPECT_EQ(memo.misses(), 2);
+  EXPECT_EQ(memo.hits(), 1);
+}
+
+TEST(IntraMemo, HandleOutlivesClear) {
+  place::IntraMemo memo;
+  const place::MemoKey key{11, 13};
+  place::IntraMemo::Handle h;
+  const auto lead = memo.claim(key, &h);
+  ASSERT_TRUE(lead.leader);
+  memo.publish(lead, placementWithStages(5));
+  place::IntraMemo::Handle kept;
+  ASSERT_FALSE(memo.claim(key, &kept).leader);
+  ASSERT_NE(kept, nullptr);
+  memo.clear();
+  EXPECT_EQ(memo.size(), 0u);
+  EXPECT_EQ(memo.hits(), 0);
+  // Ownership is shared: the entry's placement lives on in the handle.
+  EXPECT_TRUE(kept->feasible);
+  EXPECT_EQ(kept->stages_used, 5);
+  EXPECT_EQ(kept->stage_of, (std::vector<int>{0, 4}));
+  // The cleared key is computed afresh.
+  place::IntraMemo::Handle again;
+  const auto relead = memo.claim(key, &again);
+  EXPECT_TRUE(relead.leader);
+  memo.publishError(relead);
 }
 
 // --- service: the concurrency knob must not change any submission ---

@@ -756,6 +756,52 @@ TEST_F(PlanEquivalence, SequentialCommitsWithSharedArena) {
   EXPECT_GT(arena.memo().hits(), 0);
 }
 
+TEST_F(PlanEquivalence, MemoHitsAtOtherOffsetsCarryTheirOwnInstructions) {
+  // Program b is program a behind an extra header update, so a's segments
+  // recur in b at later instruction indices. Memo entries hold no
+  // instruction list; b's plan must carry b's own indices and equal the
+  // plan b gets from a cold arena.
+  const auto topo = topo::Topology::paperEmulation();
+  const auto spec = specFor(topo, {"pod0a", "pod1a"}, "pod2b");
+  const auto tree = buildEcTree(topo, spec);
+  modules::ModuleLibrary lib;
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  hdr.add("tag", 32);
+  const std::map<std::string, std::uint64_t> params = {{"CacheDepth", 1024},
+                                                       {"CacheLen", 4}};
+  const std::string dq = "d = DQAcc(CacheDepth, CacheLen)\nd(hdr)\n";
+  const auto a = lib.compileUser(dq, "a", hdr, params);
+  const auto b =
+      lib.compileUser("hdr.tag = hdr.tag + 7\n" + dq, "b", hdr, params);
+  ASSERT_GT(b.instrs.size(), a.instrs.size());
+  const auto dag_a = BlockDag::build(a);
+  const auto dag_b = BlockDag::build(b);
+  const OccupancyMap occ(&topo);
+  PlacementArena warm;
+  ASSERT_TRUE(placeProgram(dag_a, tree, topo, occ, {}, &warm).feasible);
+  const long hits_before = warm.memo().hits();
+  const auto got = placeProgram(dag_b, tree, topo, occ, {}, &warm);
+  PlacementArena cold;
+  const auto want = placeProgram(dag_b, tree, topo, occ, {}, &cold);
+  // Some of b's searches were answered by a's entries.
+  EXPECT_LT(got.stats.intra_calls, want.stats.intra_calls);
+  EXPECT_GT(warm.memo().hits() - hits_before, want.stats.intra_memo_hits);
+  expectPlansEqual(got, want);
+  ASSERT_TRUE(got.feasible);
+  for (const auto& asg : got.assignments) {
+    const int split = asg.bypass_from >= 0 ? asg.bypass_from : asg.to_block;
+    for (const auto& [dev, p] : asg.on_device) {
+      EXPECT_EQ(p.instr_idxs, dag_b.instrsOf(asg.from_block, split))
+          << "device " << dev;
+    }
+    for (const auto& [dev, p] : asg.on_bypass) {
+      EXPECT_EQ(p.instr_idxs, dag_b.instrsOf(split, asg.to_block))
+          << "bypass " << dev;
+    }
+  }
+}
+
 TEST(PlacementStats, FastPathReportsCacheCounters) {
   const auto topo = topo::Topology::paperEmulation();
   topo::TrafficSpec spec;

@@ -3,6 +3,7 @@
 // request/ticket/commit lifecycle.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <string>
 
@@ -132,6 +133,38 @@ TEST_P(ServiceErrors, LongElifChainYieldsParseErrorAndServiceLives) {
   EXPECT_EQ(r.error.stage, Stage::kCompile);
   EXPECT_TRUE(svc.deployments().empty());
   // The service is still usable.
+  const auto next = submit(dqaccRequest(svc));
+  EXPECT_TRUE(next.ok) << next.error.message();
+}
+
+// Sources whose lowering would run for hours or exhaust memory hit a
+// lowering limit instead, fail fast, and leave the service usable.
+TEST_P(ServiceErrors, LoweringLimitsYieldLowerErrorAndServiceLives) {
+  auto& svc = service();
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  const std::string sources[] = {
+      // 10^10 unrolled iterations.
+      "for i in range(100000):\n"
+      "    for j in range(100000):\n"
+      "        hdr.value = hdr.value + j\n",
+      // 2^40 register-array rows.
+      "a = Array(row=1099511627776, size=16, w=32)\n",
+  };
+  for (const auto& src : sources) {
+    SCOPED_TRACE(src);
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto r = submit(SubmitRequest::fromSource(
+        src, hdr, {}, trafficFor(svc, {"pod0a"}, "pod2b")));
+    const double s = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - t0)
+                         .count();
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error.code, ErrorCode::kLowerError);
+    EXPECT_EQ(r.error.stage, Stage::kCompile);
+    EXPECT_LT(s, 10.0);
+    EXPECT_TRUE(svc.deployments().empty());
+  }
   const auto next = submit(dqaccRequest(svc));
   EXPECT_TRUE(next.ok) << next.error.message();
 }
