@@ -153,7 +153,6 @@ struct SubmitResult {
   ServiceError error;   // code == kOk iff ok
   place::PlacementPlan plan;
   Impact impact;
-  double compile_ms = 0;
   // The commit stage discarded the speculative plan and re-placed against
   // live occupancy (an earlier commit changed it, or the guessed user id
   // was off because an earlier in-batch request failed). At most one

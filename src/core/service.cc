@@ -1,7 +1,6 @@
 #include "core/service.h"
 
 #include <algorithm>
-#include <chrono>
 #include <optional>
 #include <utility>
 
@@ -12,12 +11,6 @@
 namespace clickinc::core {
 
 namespace {
-
-double msSince(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
 
 // Maps the in-flight exception (call from a catch block only) onto the
 // structured error taxonomy. Order matters: most-derived first.
@@ -115,6 +108,40 @@ void validateReplayPlan(const place::PlacementPlan& plan,
   }
 }
 
+// The same for a decoded checkpoint's health state: every health byte and
+// deferred-heal enum must be in range, and every deferred heal must name a
+// node or link of this topology, before effectiveHealthLocked() indexes
+// by it.
+void validateCheckpointHealth(const durable::CheckpointRecord& cp,
+                              const topo::Topology& topo) {
+  const auto valid = [](std::uint8_t h) {
+    return h <= static_cast<std::uint8_t>(topo::Health::kDown);
+  };
+  for (std::uint8_t h : cp.node_health) {
+    CLICKINC_CHECK(valid(h), cat("checkpoint restore: node health ", +h));
+  }
+  for (std::uint8_t h : cp.link_health) {
+    CLICKINC_CHECK(valid(h), cat("checkpoint restore: link health ", +h));
+  }
+  for (const auto& [key, dh] : cp.deferred_heals) {
+    CLICKINC_CHECK(valid(static_cast<std::uint8_t>(dh.from)),
+                   cat("checkpoint restore: deferred heal ", key,
+                       " from health ", static_cast<int>(dh.from)));
+    if (dh.kind == topo::FailureEvent::Kind::kNode) {
+      CLICKINC_CHECK(dh.node >= 0 && dh.node < topo.nodeCount(),
+                     cat("checkpoint restore: deferred heal of node ",
+                         dh.node, " outside the topology"));
+    } else {
+      CLICKINC_CHECK(dh.kind == topo::FailureEvent::Kind::kLink,
+                     cat("checkpoint restore: deferred heal ", key,
+                         " of kind ", static_cast<int>(dh.kind)));
+      CLICKINC_CHECK(topo.linkIndex(dh.link_a, dh.link_b) >= 0,
+                     cat("checkpoint restore: deferred heal of link ",
+                         dh.link_a, "-", dh.link_b, " outside the topology"));
+    }
+  }
+}
+
 }  // namespace
 
 // The block DAG and EC tree a placement runs on. A compile builds both;
@@ -154,7 +181,6 @@ struct ClickIncService::Speculative {
   PlaceInputs in;
   place::PlacementPlan plan;
   ServiceError error;  // frontend failure; placement failures live in plan
-  double compile_ms = 0;
 };
 
 ClickIncService::ClickIncService(topo::Topology topo, std::uint64_t seed)
@@ -435,7 +461,6 @@ topo::HealthView ClickIncService::effectiveHealth() {
 ClickIncService::Speculative ClickIncService::compileSpeculative(
     SubmitRequest& req, CompileScope scope, const place::OccupancyMap& occ,
     place::PlacementArena* arena) {
-  const auto t0 = std::chrono::steady_clock::now();
   Speculative spec;
   spec.scope = std::move(scope);
   const CompileScope& sc = spec.scope;
@@ -443,7 +468,6 @@ ClickIncService::Speculative ClickIncService::compileSpeculative(
     spec.prog = std::make_shared<ir::IrProgram>(compileFrontend(req, sc.user));
   } catch (...) {
     spec.error = errorFromCurrentException(Stage::kCompile);
-    spec.compile_ms = msSince(t0);
     return spec;
   }
   try {
@@ -464,7 +488,6 @@ ClickIncService::Speculative ClickIncService::compileSpeculative(
   } catch (...) {
     spec.error = errorFromCurrentException(Stage::kCompile);
   }
-  spec.compile_ms = msSince(t0);
   return spec;
 }
 
@@ -529,10 +552,8 @@ SubmitResult ClickIncService::submitOnce(SubmitRequest& req, bool staged) {
 
 SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
                                                 SubmitRequest& req) {
-  const auto t0 = std::chrono::steady_clock::now();
   SubmitResult result;
   result.user_id = next_user_;
-  result.compile_ms = spec.compile_ms;
   // A recover() completed while this submission compiled: its snapshot,
   // guessed id, and cancellation bookkeeping all describe the pre-crash
   // world. Refuse to commit into the new epoch; the caller may resubmit.
@@ -573,7 +594,6 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
           std::make_shared<ir::IrProgram>(compileFrontend(req, next_user_));
     } catch (...) {
       result.error = errorFromCurrentException(Stage::kCommit);
-      result.compile_ms += msSince(t0);
       return result;
     }
     spec.in.dag.reset();
@@ -604,7 +624,6 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
                               ledger_.occupancy(), req.options, &spec.in);
     } catch (...) {
       result.error = errorFromCurrentException(Stage::kCommit);
-      result.compile_ms += msSince(t0);
       return result;
     }
     result.recompiled = true;
@@ -618,12 +637,10 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
         result.plan, result.recompiled ? Stage::kCommit : Stage::kCompile);
     annotateResourceFailure(&result.error, *spec.prog, ledger_.occupancy(),
                             topo_);
-    result.compile_ms += msSince(t0);
     return result;
   }
 
   commitAndDeployLocked(&result, spec.prog, req.traffic, req.options);
-  result.compile_ms += msSince(t0);
   return result;
 }
 
@@ -707,93 +724,47 @@ void ClickIncService::deployPlan(
     int user, const std::shared_ptr<ir::IrProgram>& prog,
     const place::PlacementPlan& plan, Impact* impact,
     const std::vector<char>* skip_assignments) {
-  // Collect the per-device work first (in the deterministic plan order),
-  // then synthesize. Synthesis — building the user snippet (a full
-  // program copy) and weaving it into the DeviceProgram — touches only
-  // that device's program, so snippets bound for *different* devices run
-  // as parallel pool tasks; snippets for the same device keep their plan
-  // order inside one task. The emulator deploys and the impact merge
-  // stay serialized in plan order afterwards, so commit results are
-  // bit-identical to the sequential path.
-  struct DeployItem {
-    int device;
-    const place::IntraPlacement* p;
-    int step_from, step_to;
+  // Visits every non-empty segment in plan order with the block-step range
+  // [step_from, step_to) it implements.
+  const auto forEachSegment = [&](const auto& visit) {
+    for (std::size_t ai = 0; ai < plan.assignments.size(); ++ai) {
+      const auto& a = plan.assignments[ai];
+      if (skip_assignments != nullptr && (*skip_assignments)[ai]) continue;
+      if (a.to_block <= a.from_block) continue;
+      const int split = a.bypass_from >= 0 ? a.bypass_from : a.to_block;
+      for (const auto& [dev, p] : a.on_device) {
+        if (!p.instr_idxs.empty()) visit(dev, p, a.from_block, split);
+      }
+      for (const auto& [dev, p] : a.on_bypass) {
+        if (!p.instr_idxs.empty()) visit(dev, p, split, a.to_block);
+      }
+    }
   };
-  std::vector<DeployItem> items;
-  for (std::size_t ai = 0; ai < plan.assignments.size(); ++ai) {
-    const auto& a = plan.assignments[ai];
-    if (skip_assignments != nullptr && (*skip_assignments)[ai]) continue;
-    if (a.to_block <= a.from_block) continue;
-    const int split = a.bypass_from >= 0 ? a.bypass_from : a.to_block;
-    for (const auto& [dev, p] : a.on_device) {
-      if (!p.instr_idxs.empty()) items.push_back({dev, &p, a.from_block,
-                                                  split});
-    }
-    for (const auto& [dev, p] : a.on_bypass) {
-      if (!p.instr_idxs.empty()) items.push_back({dev, &p, split,
-                                                  a.to_block});
-    }
-  }
-  if (items.empty()) return;
-
-  // Group item indices by device, preserving plan order within a device;
-  // materialize the DeviceProgram objects up front (map mutation is not
-  // thread-safe).
-  std::map<int, std::vector<std::size_t>> by_device;
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    by_device[items[k].device].push_back(k);
-    deviceProgram(items[k].device);
-  }
-
-  std::vector<synth::ChangeStats> stats(items.size());
-  auto synthesizeItem = [&](std::size_t k) {
-    const DeployItem& it = items[k];
-    synth::UserSnippet snippet;
-    snippet.user_id = user;
-    snippet.program_name = prog->name;
-    snippet.prog = *prog;
-    snippet.instr_idxs = it.p->instr_idxs;
-    snippet.stage_of = it.p->stage_of;
-    snippet.step_from = it.step_from;
-    snippet.step_to = it.step_to;
-    stats[k] = deviceProgram(it.device).addSnippet(std::move(snippet));
-  };
-  if (pool_ != nullptr && pool_->threadCount() > 1 && by_device.size() > 1) {
-    std::vector<const std::vector<std::size_t>*> groups;
-    groups.reserve(by_device.size());
-    for (const auto& [dev, idxs] : by_device) {
-      (void)dev;
-      groups.push_back(&idxs);
-    }
-    pool_->parallelFor(groups.size(), [&](std::size_t g) {
-      for (std::size_t k : *groups[g]) synthesizeItem(k);
-    });
-  } else {
-    for (std::size_t k = 0; k < items.size(); ++k) synthesizeItem(k);
-  }
-
-  // Serial tail in plan order: impact accounting and emulator deploys
-  // (the deployment map and plan cache are shared across devices).
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    const DeployItem& it = items[k];
+  // Every snippet is merged (sharing the tenant's program) before the
+  // first emulator deploy, so a failed deploy always leaves the same
+  // state for the caller's strip to unwind.
+  forEachSegment([&](int dev, const place::IntraPlacement& p, int, int) {
+    const auto stats =
+        deviceProgram(dev).addSnippet({user, prog, p.instr_idxs});
+    impact->affected_devices.insert(dev);
+    impact->affected_users.insert(stats.other_users_affected.begin(),
+                                  stats.other_users_affected.end());
+  });
+  forEachSegment([&](int dev, const place::IntraPlacement& p, int step_from,
+                     int step_to) {
     if (inject_deploy_fail_ == 0) {
       inject_deploy_fail_ = -1;
       throw SynthesisError("injected deploy failure (test hook)");
     }
     if (inject_deploy_fail_ > 0) --inject_deploy_fail_;
-    impact->affected_devices.insert(it.device);
-    for (int u : stats[k].other_users_affected) {
-      impact->affected_users.insert(u);
-    }
     emu::DeploymentEntry entry;
     entry.user_id = user;
     entry.prog = prog;
-    entry.instr_idxs = it.p->instr_idxs;
-    entry.step_from = it.step_from;
-    entry.step_to = it.step_to;
-    emu_.deploy(it.device, std::move(entry));
-  }
+    entry.instr_idxs = p.instr_idxs;
+    entry.step_from = step_from;
+    entry.step_to = step_to;
+    emu_.deploy(dev, std::move(entry));
+  });
 }
 
 // --- failure-domain runtime ---------------------------------------------
@@ -1589,6 +1560,7 @@ void ClickIncService::checkpoint() {
 
 void ClickIncService::restoreCheckpointLocked(
     const durable::CheckpointRecord& cp) {
+  validateCheckpointHealth(cp, topo_);
   next_user_ = cp.next_user;
   std::vector<topo::Health> nodes, links;
   nodes.reserve(cp.node_health.size());

@@ -70,8 +70,6 @@ void Emulator::undeployDevice(int device_node) {
   }
 }
 
-void Emulator::clearDeployments() { deployments_.clear(); }
-
 void Emulator::setFailed(int device_node, bool failed) {
   failed_[device_node] = failed;
 }

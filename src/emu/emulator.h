@@ -139,7 +139,6 @@ class Emulator {
   // Device death/reboot: drops every entry on the device and clears its
   // state store (a rebooted switch comes back with fresh registers).
   void undeployDevice(int device_node);
-  void clearDeployments();
 
   // Marks a device failed: its snippets are skipped (packets pass
   // through); replicated blocks downstream pick the work up (§6).

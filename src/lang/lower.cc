@@ -198,7 +198,7 @@ class Lowerer {
     if (!pred_.isNone() && effectful(op, ins.dest)) {
       ins.pred = pred_;
     }
-    prog_.instrs.push_back(ins);
+    append(std::move(ins));
     return prog_.instrs.back().dest;
   }
 
@@ -209,7 +209,16 @@ class Lowerer {
     ins.dest = field;
     ins.srcs = {value};
     if (!pred_.isNone()) ins.pred = pred_;
-    prog_.instrs.push_back(ins);
+    append(std::move(ins));
+  }
+
+  // Every instruction lands here, within the program's budget.
+  void append(Instruction ins) {
+    if (prog_.instrs.size() >= kMaxInstructions) {
+      throw CompileError(cat(prog_.name, ": instruction budget exceeded (at ",
+                             "most ", kMaxInstructions, " per program)"));
+    }
+    prog_.instrs.push_back(std::move(ins));
   }
 
   // --- value materialization ---
@@ -1283,7 +1292,7 @@ class Lowerer {
                                static_cast<std::uint64_t>(v.op.width / 8),
                                16)};
           if (!pred_.isNone()) dec.pred = pred_;
-          prog_.instrs.push_back(dec);
+          append(std::move(dec));
           return {};
         }
       }

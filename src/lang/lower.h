@@ -64,6 +64,11 @@ inline constexpr std::uint64_t kMaxUnrollIterations = 100'000;
 inline constexpr std::uint64_t kMaxStateObjects = 4096;
 inline constexpr std::uint64_t kMaxStateDepth = 1ULL << 32;  // `size`
 inline constexpr std::uint64_t kMaxValueWidth = 64;          // `w`, bits
+// Instructions per program, counted as lowering appends them (before
+// optimization): the unroll budget counts iterations, not the body each
+// one repeats. Room for a two-instruction body at the full unroll budget;
+// the largest template, example or fuzz-seed program is far smaller.
+inline constexpr std::uint64_t kMaxInstructions = 1ULL << 18;
 
 struct CompileOptions {
   std::string program_name = "prog";

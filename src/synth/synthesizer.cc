@@ -95,13 +95,11 @@ ir::IrProgram isolateVariables(const ir::IrProgram& prog, int user_id) {
   return out;
 }
 
-ParseTree parserFor(const ir::IrProgram& prog, const std::string& name,
-                    int user_id) {
+ParseTree parserFor(const std::string& name, int user_id) {
   ParseTree tree;
   tree.addPath({"ethernet", "ipv4", "udp"}, user_id);
   tree.addPath({"ethernet", "ipv4", "udp", "inc"}, user_id);
   tree.addPath({"ethernet", "ipv4", "udp", "inc", name}, user_id);
-  (void)prog;
   return tree;
 }
 
@@ -114,20 +112,7 @@ DeviceProgram::DeviceProgram(const BaseProgram* base,
 ChangeStats DeviceProgram::addSnippet(UserSnippet snippet) {
   ChangeStats stats;
   // Lazy removals are enforced when the next program arrives (§6).
-  for (int user : std::set<int>(lazily_removed_)) {
-    for (const auto& s : snippets_) {
-      if (s.user_id == user) {
-        stats.instrs_removed += static_cast<int>(s.instr_idxs.size());
-      }
-    }
-    snippets_.erase(
-        std::remove_if(snippets_.begin(), snippets_.end(),
-                       [&](const UserSnippet& s) {
-                         return s.user_id == user;
-                       }),
-        snippets_.end());
-    parser_.removeOwner(user);
-  }
+  for (int user : lazily_removed_) strip(user);
   lazily_removed_.clear();
 
   for (const auto& s : snippets_) {
@@ -142,11 +127,9 @@ ChangeStats DeviceProgram::addSnippet(UserSnippet snippet) {
                   stats.other_users_affected.end()),
       stats.other_users_affected.end());
 
-  stats.instrs_added = static_cast<int>(snippet.instr_idxs.size());
   stats.executable_changed = true;
-  parser_.mergeFrom(
-      parserFor(snippet.prog, snippet.program_name, snippet.user_id),
-      snippet.user_id);
+  parser_.mergeFrom(parserFor(snippet.prog->name, snippet.user_id),
+                    snippet.user_id);
   snippets_.push_back(std::move(snippet));
   dirty_ = true;
   return stats;
@@ -163,21 +146,18 @@ ChangeStats DeviceProgram::removeUser(int user_id, bool lazy) {
     return stats;
   }
   for (const auto& s : snippets_) {
-    if (s.user_id == user_id) {
-      stats.instrs_removed += static_cast<int>(s.instr_idxs.size());
-    } else {
-      stats.other_users_affected.push_back(s.user_id);
-    }
+    if (s.user_id != user_id) stats.other_users_affected.push_back(s.user_id);
   }
-  snippets_.erase(std::remove_if(snippets_.begin(), snippets_.end(),
-                                 [&](const UserSnippet& s) {
-                                   return s.user_id == user_id;
-                                 }),
-                  snippets_.end());
-  parser_.removeOwner(user_id);
+  strip(user_id);
   stats.executable_changed = true;
   dirty_ = true;
   return stats;
+}
+
+void DeviceProgram::strip(int user_id) {
+  std::erase_if(snippets_,
+                [&](const UserSnippet& s) { return s.user_id == user_id; });
+  parser_.removeOwner(user_id);
 }
 
 std::vector<int> DeviceProgram::activeUsers() const {
@@ -278,7 +258,7 @@ void DeviceProgram::rebuild() const {
   // "adds a user ID match to filter out the user's traffic").
   for (const auto& s : snippets_) {
     if (lazily_removed_.count(s.user_id)) continue;
-    const ir::IrProgram isolated = isolateVariables(s.prog, s.user_id);
+    const ir::IrProgram isolated = isolateVariables(*s.prog, s.user_id);
     Instruction match(Opcode::kCmpEq,
                       Operand::var(cat("u", s.user_id, "_active"), 1),
                       {Operand::field("hdr._uid", 16),

@@ -11,13 +11,15 @@
 //    snippet; the snippet's effectful instructions execute only for
 //    packets whose INC header carries that user id.
 //
-// Step numbers: each snippet records the block range [step_from, step_to)
-// it implements; the runtime executes a snippet only when the packet's
-// step field is below step_to, then advances it — giving exactly-once
-// semantics under replication and skip-on-failure (§6).
+// Step numbers (§6) are not the synthesizer's concern: the emulator's
+// emu::DeploymentEntry records the block range [step_from, step_to) each
+// deployed segment implements and gates execution on the packet's step
+// field, giving exactly-once semantics under replication and
+// skip-on-failure.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -40,23 +42,17 @@ struct BaseProgram {
 // forwarding.
 BaseProgram makeDefaultBase();
 
-// One user program fragment bound for one device.
+// One user program fragment bound for one device. The program is shared
+// with the tenant's ledger entry and emulator deployments, never copied.
 struct UserSnippet {
   int user_id = -1;
-  std::string program_name;
-  ir::IrProgram prog;            // full user program (fields/states/instrs)
-  std::vector<int> instr_idxs;   // the subset deployed on this device
-  std::vector<int> stage_of;     // pipeline stage per instruction (may be
-                                 // empty for RTC devices)
-  int step_from = 0;             // first block step implemented here
-  int step_to = 0;               // one past the last block step
+  std::shared_ptr<const ir::IrProgram> prog;  // full user program
+  std::vector<int> instr_idxs;  // the subset deployed on this device
 };
 
 // Effect of one add/remove on a device (drives the Table 6 accounting).
 struct ChangeStats {
   bool executable_changed = false;
-  int instrs_added = 0;
-  int instrs_removed = 0;
   std::vector<int> other_users_affected;  // co-resident programs touched
 };
 
@@ -80,14 +76,9 @@ class DeviceProgram {
 
   std::vector<int> activeUsers() const;
   bool hostsUser(int user_id) const;
-  const std::vector<UserSnippet>& snippets() const { return snippets_; }
-  const device::DeviceModel& model() const { return *model_; }
-
-  // Pipeline layout: user instructions sit between base head and tail,
-  // packed toward the earliest stages (§6 "moved as early as possible").
-  int headStages() const { return 2; }
 
  private:
+  void strip(int user_id);  // drops the user's snippets and parser paths
   void rebuild() const;
 
   const BaseProgram* base_;
@@ -104,8 +95,7 @@ class DeviceProgram {
 ir::IrProgram isolateVariables(const ir::IrProgram& prog, int user_id);
 
 // Builds a parse tree for a user program: network headers plus one INC
-// header node per program carrying its fields.
-ParseTree parserFor(const ir::IrProgram& prog, const std::string& name,
-                    int user_id);
+// header node named after the program.
+ParseTree parserFor(const std::string& name, int user_id);
 
 }  // namespace clickinc::synth

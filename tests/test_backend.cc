@@ -145,10 +145,9 @@ TEST(Codegen, SynthesizedMultiUserProgramGenerates) {
   for (int u = 1; u <= 2; ++u) {
     synth::UserSnippet s;
     s.user_id = u;
-    s.program_name = cat("dq", u);
-    s.prog = lib.compileTemplate("DQAcc", cat("dq", u),
-                                 {{"CacheDepth", 32}, {"CacheLen", 2}});
-    for (std::size_t i = 0; i < s.prog.instrs.size(); ++i) {
+    s.prog = std::make_shared<const ir::IrProgram>(lib.compileTemplate(
+        "DQAcc", cat("dq", u), {{"CacheDepth", 32}, {"CacheLen", 2}}));
+    for (std::size_t i = 0; i < s.prog->instrs.size(); ++i) {
       s.instr_idxs.push_back(static_cast<int>(i));
     }
     dev.addSnippet(std::move(s));

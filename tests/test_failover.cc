@@ -6,9 +6,11 @@
 // recovery across 1/2/8-thread pools.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/service.h"
@@ -575,30 +577,81 @@ TEST(ServiceFailover, DeployFailureRollsBackByteIdentical) {
   const auto a = svc.submit(dqaccRequest(svc.topology()));
   ASSERT_TRUE(a.ok);
 
+  // Per device: its active users and merged executable size.
+  using ProgramView = std::pair<std::vector<int>, std::size_t>;
+  const auto programOf = [&](int dev) {
+    const auto& program = svc.deviceProgram(dev);
+    return ProgramView{program.activeUsers(),
+                       program.executable().instrs.size()};
+  };
+  std::map<int, ProgramView> programs_before;
+  for (const auto& n : svc.topology().nodes()) {
+    if (n.programmable) programs_before[n.id] = programOf(n.id);
+  }
   const auto fps_before = allFingerprints(svc);
   const auto users_before = deployedUsers(svc);
+  const auto digest_before = svc.emulator().deploymentDigest();
   const int src = svc.topology().findNode("pod0a");
   const int dst = svc.topology().findNode("pod2b");
   const auto probe_before =
       packetTrace(svc.emulator(), src, dst, a.user_id, 4, 1000);
 
-  svc.injectDeployFailureAfter(0);
-  const auto b = svc.submit(mlaggRequest(svc.topology(), 1024));
-  EXPECT_FALSE(b.ok);
-  EXPECT_EQ(b.error.code, ErrorCode::kDeployFailed);
-  EXPECT_EQ(b.error.stage, Stage::kDeploy);
+  // Occupancy, tenant set, every plan device's program, the emulator's
+  // deployments and packet behavior byte-identical to the pre-submit
+  // snapshot. Fresh keys (`probe_base`) miss the cache exactly like the
+  // pre-snapshot probes did, so identical behavior means identical
+  // deployed programs.
+  const auto expectRolledBack = [&](const core::SubmitResult& r,
+                                    std::uint64_t probe_base) {
+    EXPECT_FALSE(r.ok);
+    EXPECT_EQ(r.error.code, ErrorCode::kDeployFailed);
+    EXPECT_EQ(r.error.stage, Stage::kDeploy);
+    EXPECT_EQ(allFingerprints(svc), fps_before);
+    EXPECT_EQ(deployedUsers(svc), users_before);
+    const auto devices = planDeviceSet(r.plan);
+    EXPECT_FALSE(devices.empty());
+    for (int dev : devices) {
+      EXPECT_EQ(programOf(dev), programs_before.at(dev)) << "device " << dev;
+    }
+    EXPECT_EQ(svc.emulator().deploymentDigest(), digest_before);
+    EXPECT_EQ(packetTrace(svc.emulator(), src, dst, a.user_id, 4, probe_base),
+              probe_before);
+  };
 
-  // Occupancy, tenant set, and packet behavior byte-identical to the
-  // pre-submit snapshot.
-  EXPECT_EQ(allFingerprints(svc), fps_before);
-  EXPECT_EQ(deployedUsers(svc), users_before);
-  // Fresh keys (base 2000) miss the cache exactly like the pre-snapshot
-  // probes did, so identical behavior means identical deployed programs.
-  EXPECT_EQ(packetTrace(svc.emulator(), src, dst, a.user_id, 4, 2000),
-            probe_before);
+  // Two sources: the plan deploys more than one segment.
+  const auto wide = [&] {
+    return SubmitRequest::fromTemplate(
+        "MLAgg",
+        {{"NumAgg", 1024}, {"Dim", 16}, {"NumWorker", 2}, {"IsConvert", 0}},
+        trafficFor(svc.topology(), {"pod0a", "pod1a"}, "pod2b"));
+  };
+
+  // Fire at the first emulator deploy...
+  svc.injectDeployFailureAfter(0);
+  const auto b = svc.submit(wide());
+  expectRolledBack(b, 2000);
+
+  // ...and at the last: by then every snippet of the plan is merged into
+  // its device program and all but one segment run in the emulator.
+  int segments = 0;
+  for (const auto& asg : b.plan.assignments) {
+    if (asg.to_block <= asg.from_block) continue;
+    for (const auto* side : {&asg.on_device, &asg.on_bypass}) {
+      for (const auto& [dev, p] : *side) {
+        (void)dev;
+        if (!p.instr_idxs.empty()) ++segments;
+      }
+    }
+  }
+  ASSERT_GT(segments, 1);
+  svc.injectDeployFailureAfter(segments - 1);
+  const auto last = svc.submit(wide());
+  EXPECT_EQ(durable::planFingerprint(last.plan),
+            durable::planFingerprint(b.plan));
+  expectRolledBack(last, 3000);
 
   // The hook is single-shot: the same submission now succeeds.
-  const auto c = svc.submit(mlaggRequest(svc.topology(), 1024));
+  const auto c = svc.submit(wide());
   EXPECT_TRUE(c.ok) << c.error.message();
 }
 

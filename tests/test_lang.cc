@@ -428,6 +428,36 @@ TEST(Lower, UnrollBudgetIsProgramWide) {
                         hdr));
 }
 
+TEST(Lower, InstructionBudgetCapsTheUnrolledBody) {
+  HeaderSpec hdr;
+  hdr.add("value", 32);
+  hdr.add("out", 32);
+  hdr.add("w", 32);
+  // A two-instruction body fits at the full unroll budget...
+  EXPECT_NO_THROW(lower(cat("for i in range(", kMaxUnrollIterations,
+                            "):\n    hdr.out = i\n    hdr.w = i\n"),
+                        hdr));
+  // ...but the unroll budget counts iterations, not the body they repeat:
+  // 100,000 iterations of 20 lines would be 2,000,001 instructions.
+  std::string src = cat("x = 0\nfor a in range(", kMaxUnrollIterations,
+                        "):\n");
+  for (int k = 0; k < 20; ++k) src += "    x = x + hdr.value\n";
+  src += "hdr.out = x\n";
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    lower(src, hdr);
+    ADD_FAILURE() << "the instruction budget did not fire";
+  } catch (const CompileError& e) {
+    EXPECT_NE(std::string(e.what()).find("instruction budget"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                          t0)
+                .count(),
+            10.0);
+}
+
 TEST(Lower, StateSizesAreCapped) {
   const auto rejects = [](const std::string& src) {
     try {

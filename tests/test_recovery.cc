@@ -17,6 +17,7 @@
 #include "topo/ec.h"
 #include "topo/topology.h"
 #include "util/error.h"
+#include "util/strings.h"
 #include "verify/recovery_fuzz.h"
 
 namespace clickinc {
@@ -396,6 +397,85 @@ TEST(Recovery, UnreplayableRecordFailsStructuredAndLeavesServiceUsable) {
   // The failed recovery left a fresh, working service behind.
   const auto r = svc.submit(dqaccRequest(svc.topology()));
   EXPECT_TRUE(r.ok) << r.error.message();
+}
+
+// A checkpoint is raw bytes under a valid CRC, so its flap-damping state
+// is untrusted too: a deferred heal naming an entity outside the topology,
+// or an out-of-range enum or health byte, must fail recovery closed
+// rather than index past the health vectors later.
+TEST(Recovery, CraftedCheckpointHealthFailsClosed) {
+  durable::MemJournalSink sink;
+  ClickIncService primary(topo::Topology::paperEmulation());
+  core::FailoverPolicy pol;
+  pol.flap_window = 8;
+  primary.setFailoverPolicy(pol);
+  primary.attachJournal(&sink);
+  const auto r = primary.submit(dqaccRequest(primary.topology()));
+  ASSERT_TRUE(r.ok) << r.error.message();
+  const int victim = *planDeviceSet(r.plan).begin();
+  primary.failNode(victim);
+  ASSERT_EQ(primary.healNode(victim).damped_events, 1);  // deferred heal
+  primary.checkpoint();
+
+  const auto scan = durable::scanJournal(sink.readAll());
+  ASSERT_FALSE(scan.records.empty());
+  const auto& rec = scan.records.back();
+  ASSERT_EQ(rec.type, durable::RecordType::kCheckpoint);
+  const durable::CheckpointRecord good =
+      durable::decodeCheckpoint(rec.payload);
+  ASSERT_EQ(good.deferred_heals.size(), 1u);
+
+  // A journal holding only `cp`, framed (and CRC'd) like the original.
+  const auto recoverFrom = [&](const durable::CheckpointRecord& cp) {
+    durable::MemJournalSink crafted;
+    durable::writeMagic(crafted);
+    durable::appendRecord(crafted, rec.seq, durable::RecordType::kCheckpoint,
+                          durable::encodeCheckpoint(cp));
+    ClickIncService svc(topo::Topology::paperEmulation());
+    const auto rep = svc.recover(&crafted);
+    if (!rep.ok) {
+      EXPECT_EQ(rep.error.stage, Stage::kRecovery);
+      EXPECT_TRUE(svc.deployments().empty());
+      // The failed recovery left a fresh, working service behind.
+      EXPECT_EQ(svc.effectiveHealth().node.size(),
+                svc.topology().nodes().size());
+      EXPECT_TRUE(svc.submit(dqaccRequest(svc.topology())).ok);
+      return rep.error.code;
+    }
+    // The deferred heal still masks the victim back to down.
+    EXPECT_EQ(svc.effectiveHealth().node[static_cast<std::size_t>(victim)],
+              topo::Health::kDown);
+    return ErrorCode::kOk;
+  };
+  EXPECT_EQ(recoverFrom(good), ErrorCode::kOk);
+
+  const auto mutated = [&](const auto& mutate) {
+    durable::CheckpointRecord cp = good;
+    mutate(cp.deferred_heals.begin()->second, cp);
+    return cp;
+  };
+  using DH = durable::DeferredHeal;
+  using CP = durable::CheckpointRecord;
+  const CP bad[] = {
+      mutated([](DH& dh, CP&) { dh.node = 1 << 20; }),
+      mutated([](DH& dh, CP&) { dh.node = -1; }),
+      mutated([](DH& dh, CP&) {
+        dh.kind = static_cast<topo::FailureEvent::Kind>(7);
+      }),
+      mutated([](DH& dh, CP&) { dh.from = static_cast<topo::Health>(9); }),
+      // A link heal whose endpoints are not linked.
+      mutated([](DH& dh, CP&) {
+        dh.kind = topo::FailureEvent::Kind::kLink;
+        dh.link_a = 0;
+        dh.link_b = 1 << 20;
+      }),
+      mutated([](DH&, CP& cp) { cp.node_health[0] = 3; }),
+      mutated([](DH&, CP& cp) { cp.link_health[0] = 200; }),
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    SCOPED_TRACE(cat("mutation ", i));
+    EXPECT_EQ(recoverFrom(bad[i]), ErrorCode::kRecovery);
+  }
 }
 
 TEST(Recovery, AttachRequiresAFreshServiceAndSink) {

@@ -137,6 +137,14 @@ TEST_P(ServiceErrors, LongElifChainYieldsParseErrorAndServiceLives) {
   EXPECT_TRUE(next.ok) << next.error.message();
 }
 
+// `x = 0`, 100,000 iterations of 20 `x = x + hdr.value` lines, then
+// `hdr.value = x`: within the unroll budget, past the instruction budget.
+std::string longBody() {
+  std::string src = "x = 0\nfor a in range(100000):\n";
+  for (int k = 0; k < 20; ++k) src += "    x = x + hdr.value\n";
+  return src + "hdr.value = x\n";
+}
+
 // Sources whose lowering would run for hours or exhaust memory hit a
 // lowering limit instead, fail fast, and leave the service usable.
 TEST_P(ServiceErrors, LoweringLimitsYieldLowerErrorAndServiceLives) {
@@ -150,6 +158,8 @@ TEST_P(ServiceErrors, LoweringLimitsYieldLowerErrorAndServiceLives) {
       "        hdr.value = hdr.value + j\n",
       // 2^40 register-array rows.
       "a = Array(row=1099511627776, size=16, w=32)\n",
+      // 2,000,001 instructions from 100,000 iterations of a 20-line body.
+      longBody(),
   };
   for (const auto& src : sources) {
     SCOPED_TRACE(src);

@@ -22,13 +22,11 @@ std::vector<int> allInstrs(const ir::IrProgram& p) {
   return out;
 }
 
-UserSnippet snippetOf(int user, const std::string& name,
-                      ir::IrProgram prog) {
+UserSnippet snippetOf(int user, ir::IrProgram prog) {
   UserSnippet s;
   s.user_id = user;
-  s.program_name = name;
   s.instr_idxs = allInstrs(prog);
-  s.prog = std::move(prog);
+  s.prog = std::make_shared<const ir::IrProgram>(std::move(prog));
   return s;
 }
 
@@ -126,7 +124,7 @@ TEST_F(SynthFixture, MergedContainsBaseHeadAndTail) {
 }
 
 TEST_F(SynthFixture, SnippetSitsBetweenHeadAndTail) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
   const auto& exe = dev_.executable();
   std::size_t first_user = exe.instrs.size(), tail_pos = 0;
   for (std::size_t i = 0; i < exe.instrs.size(); ++i) {
@@ -140,7 +138,7 @@ TEST_F(SynthFixture, SnippetSitsBetweenHeadAndTail) {
 }
 
 TEST_F(SynthFixture, UserTrafficFilterIsolation) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
   StateStore store;
   Rng rng(5);
   Interpreter interp(&store, &rng);
@@ -164,8 +162,8 @@ TEST_F(SynthFixture, UserTrafficFilterIsolation) {
 }
 
 TEST_F(SynthFixture, TwoInstancesDoNotShareState) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
-  dev_.addSnippet(snippetOf(2, "dq1", dqacc("dq1")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
+  dev_.addSnippet(snippetOf(2, dqacc("dq1")));
   StateStore store;
   Rng rng(5);
   Interpreter interp(&store, &rng);
@@ -187,7 +185,7 @@ TEST_F(SynthFixture, TwoInstancesDoNotShareState) {
 }
 
 TEST_F(SynthFixture, BaseDropStillAppliesToUserTraffic) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
   StateStore store;
   Rng rng(5);
   Interpreter interp(&store, &rng);
@@ -201,32 +199,39 @@ TEST_F(SynthFixture, BaseDropStillAppliesToUserTraffic) {
 }
 
 TEST_F(SynthFixture, IncrementalAddReportsAffectedUsers) {
-  auto s1 = dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
+  auto s1 = dev_.addSnippet(snippetOf(1, dqacc("dq0")));
   EXPECT_TRUE(s1.executable_changed);
   EXPECT_TRUE(s1.other_users_affected.empty());
-  auto s2 = dev_.addSnippet(snippetOf(2, "dq1", dqacc("dq1")));
+  auto s2 = dev_.addSnippet(snippetOf(2, dqacc("dq1")));
   ASSERT_EQ(s2.other_users_affected.size(), 1u);
   EXPECT_EQ(s2.other_users_affected[0], 1);
 }
 
 TEST_F(SynthFixture, LazyRemovalDisablesWithoutStripping) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
   const auto instrs_before = dev_.executable().instrs.size();
-  auto stats = dev_.removeUser(1, /*lazy=*/true);
-  EXPECT_EQ(stats.instrs_removed, 0);  // nothing stripped yet
+  dev_.removeUser(1, /*lazy=*/true);
+  EXPECT_TRUE(dev_.parser().containsHeader("dq0"));  // nothing stripped yet
   EXPECT_FALSE(dev_.hostsUser(1));
   // The merged executable no longer contains user 1's logic.
   EXPECT_LT(dev_.executable().instrs.size(), instrs_before);
-  // Next add enforces the strip.
-  auto s2 = dev_.addSnippet(snippetOf(2, "dq1", dqacc("dq1")));
-  EXPECT_GT(s2.instrs_removed, 0);
+  // Next add enforces the strip: user 1 is gone before co-residents are
+  // counted, and its parser paths go with it.
+  auto s2 = dev_.addSnippet(snippetOf(2, dqacc("dq1")));
+  EXPECT_TRUE(s2.other_users_affected.empty());
+  EXPECT_FALSE(dev_.parser().containsHeader("dq0"));
 }
 
 TEST_F(SynthFixture, EagerRemovalStripsImmediately) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
-  dev_.addSnippet(snippetOf(2, "dq1", dqacc("dq1")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
+  dev_.addSnippet(snippetOf(2, dqacc("dq1")));
+  const auto instrs_before = dev_.executable().instrs.size();
   auto stats = dev_.removeUser(1, /*lazy=*/false);
-  EXPECT_GT(stats.instrs_removed, 0);
+  EXPECT_TRUE(stats.executable_changed);
+  EXPECT_LT(dev_.executable().instrs.size(), instrs_before);
+  for (const auto& ins : dev_.executable().instrs) {
+    EXPECT_FALSE(ins.ownedBy(1));
+  }
   ASSERT_EQ(stats.other_users_affected.size(), 1u);
   EXPECT_EQ(stats.other_users_affected[0], 2);
   EXPECT_FALSE(dev_.hostsUser(1));
@@ -244,9 +249,20 @@ TEST_F(SynthFixture, EagerRemovalStripsImmediately) {
   EXPECT_EQ(pkt.verdict, Verdict::kForward);
 }
 
+TEST_F(SynthFixture, SnippetSharesTheTenantProgram) {
+  const auto prog = std::make_shared<const ir::IrProgram>(dqacc("dq0"));
+  dev_.addSnippet({1, prog, allInstrs(*prog)});
+  // The device program holds a reference to the tenant's IR, not a copy.
+  EXPECT_EQ(prog.use_count(), 2);
+  EXPECT_TRUE(dev_.hostsUser(1));
+  EXPECT_TRUE(dev_.parser().containsHeader("dq0"));  // named after prog
+  dev_.removeUser(1, /*lazy=*/false);
+  EXPECT_EQ(prog.use_count(), 1);
+}
+
 TEST_F(SynthFixture, ParserMergesAndStrips) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
-  dev_.addSnippet(snippetOf(2, "dq1", dqacc("dq1")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
+  dev_.addSnippet(snippetOf(2, dqacc("dq1")));
   EXPECT_TRUE(dev_.parser().containsHeader("dq0"));
   EXPECT_TRUE(dev_.parser().containsHeader("dq1"));
   EXPECT_TRUE(dev_.parser().containsHeader("inc"));
@@ -256,8 +272,8 @@ TEST_F(SynthFixture, ParserMergesAndStrips) {
 }
 
 TEST_F(SynthFixture, MergedExecutableVerifies) {
-  dev_.addSnippet(snippetOf(1, "dq0", dqacc("dq0")));
-  dev_.addSnippet(snippetOf(2, "dq1", dqacc("dq1")));
+  dev_.addSnippet(snippetOf(1, dqacc("dq0")));
+  dev_.addSnippet(snippetOf(2, dqacc("dq1")));
   EXPECT_NO_THROW(dev_.executable().verify());
 }
 
