@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "durable/serialize.h"
+#include "ir/param_frame.h"
 #include "place/treedp.h"
 #include "scale/domains.h"
 
@@ -28,6 +29,9 @@ namespace clickinc::core {
 // and ratio scope are never stored.
 struct Deployed {
   std::shared_ptr<ir::IrProgram> prog;
+  // prog's Param layout, built once at commit; every redeploy (failover,
+  // defrag, recovery) binds the tenant's emulator entries to it.
+  std::shared_ptr<const ir::ParamLayout> layout;
   place::PlacementPlan plan;
   topo::TrafficSpec traffic;
   place::PlacementOptions options;

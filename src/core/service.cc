@@ -670,8 +670,9 @@ void ClickIncService::commitAndDeployLocked(
     journalAppendLocked(durable::RecordType::kAbort,
                         durable::encodeAbort(rec));
   };
+  const auto layout = ir::ParamLayout::of(*prog);
   try {
-    deployPlan(user, prog, result->plan, &result->impact);
+    deployPlan(user, prog, layout, result->plan, &result->impact);
   } catch (...) {
     result->error = errorFromCurrentException(Stage::kDeploy);
     rollbackDeployLocked(user, prog, result->plan);
@@ -679,7 +680,7 @@ void ClickIncService::commitAndDeployLocked(
     journalAbort();
     return;
   }
-  ledger_.add(user, {prog, result->plan, traffic, options});
+  ledger_.add(user, {prog, layout, result->plan, traffic, options});
 
   // Verification gate: a violation means the pipeline produced an
   // inconsistent deployment — fail the submission and unwind it rather
@@ -722,6 +723,7 @@ void ClickIncService::stripLocked(int user, const std::set<int>& devices,
 
 void ClickIncService::deployPlan(
     int user, const std::shared_ptr<ir::IrProgram>& prog,
+    const std::shared_ptr<const ir::ParamLayout>& layout,
     const place::PlacementPlan& plan, Impact* impact,
     const std::vector<char>* skip_assignments) {
   // Visits every non-empty segment in plan order with the block-step range
@@ -760,6 +762,7 @@ void ClickIncService::deployPlan(
     emu::DeploymentEntry entry;
     entry.user_id = user;
     entry.prog = prog;
+    entry.params.layout = layout;
     entry.instr_idxs = p.instr_idxs;
     entry.step_from = step_from;
     entry.step_to = step_to;
@@ -1181,7 +1184,8 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
 
   Impact impact;
   try {
-    deployPlan(user, old.prog, new_plan, &impact, &pins.pinned_new);
+    deployPlan(user, old.prog, old.layout, new_plan, &impact,
+               &pins.pinned_new);
   } catch (...) {
     res.error = errorFromCurrentException(stage);
     // Roll the replacement back: strip its non-pinned deployments,
@@ -1201,8 +1205,10 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     try {
       // Pruning keeps every assignment, so the old pins still line up.
       Impact dummy;
-      deployPlan(user, old.prog, restore, &dummy, &pins.pinned_old);
-      ledger_.add(user, {old.prog, restore, old.traffic, old.options});
+      deployPlan(user, old.prog, old.layout, restore, &dummy,
+                 &pins.pinned_old);
+      ledger_.add(user,
+                  {old.prog, old.layout, restore, old.traffic, old.options});
       res.restored = true;  // old deployment live again
     } catch (...) {
       // Restore failed too: release everything and drop the tenant.
@@ -1212,7 +1218,8 @@ ClickIncService::SwapResult ClickIncService::swapPlanLocked(
     return res;
   }
 
-  ledger_.add(user, {old.prog, new_plan, old.traffic, old.options});
+  ledger_.add(user,
+              {old.prog, old.layout, new_plan, old.traffic, old.options});
   res.swapped = true;
   res.segments_pinned = static_cast<int>(
       std::count(pins.pinned_new.begin(), pins.pinned_new.end(), 1));
@@ -1597,8 +1604,9 @@ void ClickIncService::redeployLocked(int user, ir::IrProgram prog,
   validateReplayPlan(plan, *shared, ledger_.occupancy());
   if (claim) ledger_.claim(plan, *shared);
   Impact impact;
-  deployPlan(user, shared, plan, &impact);
-  ledger_.add(user, {shared, plan, traffic, options});
+  const auto layout = ir::ParamLayout::of(*shared);
+  deployPlan(user, shared, layout, plan, &impact);
+  ledger_.add(user, {shared, layout, plan, traffic, options});
 }
 
 void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
@@ -1635,6 +1643,20 @@ void ClickIncService::applyRecordLocked(const durable::RecordRef& rec) {
     }
     case durable::RecordType::kHealth: {
       const auto hr = durable::decodeHealth(rec.payload);
+      // The event bytes are untrusted like a checkpoint's: a health or
+      // kind byte out of range must fail replay closed, never be applied.
+      const auto valid = [](topo::Health h) {
+        return static_cast<std::uint8_t>(h) <=
+               static_cast<std::uint8_t>(topo::Health::kDown);
+      };
+      CLICKINC_CHECK(valid(hr.event.from) && valid(hr.event.to),
+                     cat("health replay: health ",
+                         static_cast<int>(hr.event.from), " -> ",
+                         static_cast<int>(hr.event.to)));
+      CLICKINC_CHECK(hr.event.kind == topo::FailureEvent::Kind::kNode ||
+                         hr.event.kind == topo::FailureEvent::Kind::kLink,
+                     cat("health replay: event kind ",
+                         static_cast<int>(hr.event.kind)));
       topo::FailureEvent applied;
       if (hr.event.kind == topo::FailureEvent::Kind::kNode) {
         applied = topo_.setNodeHealth(hr.event.node, hr.event.to);

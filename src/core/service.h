@@ -416,6 +416,7 @@ class ClickIncService {
   // `skip_assignments` (aligned with plan.assignments, nullptr = none)
   // omits pinned segments during failover redeploys.
   void deployPlan(int user, const std::shared_ptr<ir::IrProgram>& prog,
+                  const std::shared_ptr<const ir::ParamLayout>& layout,
                   const place::PlacementPlan& plan, Impact* impact,
                   const std::vector<char>* skip_assignments = nullptr);
 

@@ -42,6 +42,11 @@ void Emulator::deploy(int device_node, DeploymentEntry entry) {
     entry.plan = plan_cache_->get(*entry.prog, entry.instr_idxs,
                                   {.fuse = options_.fuse_plans});
   }
+  if (entry.plan != nullptr) {
+    entry.params = entry.params.layout != nullptr
+                       ? entry.plan->bind(std::move(entry.params.layout))
+                       : entry.plan->ownBinding();
+  }
   deployments_[device_node].push_back(std::move(entry));
   // Keep snippets ordered by step so earlier program segments run first.
   auto& list = deployments_[device_node];
@@ -189,11 +194,12 @@ double Emulator::runEntriesOn(int node,
       // emulator equivalence tests).
       const auto segment = materializeSegment(entry);
       ir::Interpreter interp(&store, &rng_);
+      view.params.bind(entry.params.layout);
       interp.run(*entry.prog, std::span<const ir::Instruction>(segment),
                  view);
       seg_size = segment.size();
     } else {
-      entry.plan->run(&store, &rng_, view, scratch);
+      entry.plan->run(&store, &rng_, view, scratch, &entry.params);
       seg_size = entry.plan->instrCount();
     }
     view.step = entry.step_to;
@@ -250,6 +256,7 @@ void Emulator::processBatchAt(int node,
       const auto segment = materializeSegment(entry);
       ir::Interpreter interp(&store, &rng_);
       for (ir::PacketView* view : eligible) {
+        view->params.bind(entry.params.layout);
         interp.run(*entry.prog, std::span<const ir::Instruction>(segment),
                    *view);
       }
@@ -257,7 +264,7 @@ void Emulator::processBatchAt(int node,
     } else {
       entry.plan->runBatch(&store, &rng_,
                            std::span<ir::PacketView* const>(eligible),
-                           ctx.scratch);
+                           ctx.scratch, &entry.params);
       seg_size = entry.plan->instrCount();
     }
     const double entry_latency =

@@ -75,6 +75,11 @@ struct DeploymentEntry {
   // Precompiled execution plan for the segment. deploy() fills it from
   // the plan cache; callers normally leave it null.
   std::shared_ptr<const ir::ExecPlan> plan;
+  // The plan's variable slots bound to the tenant's Param layout. Callers
+  // set params.layout (the service builds one per tenant and shares it
+  // among all its entries; null binds the plan to its own layout), and
+  // deploy() fills the ids.
+  ir::ParamBinding params;
 };
 
 struct PacketResult {

@@ -670,7 +670,8 @@ ExecPlan ExecPlan::compile(const IrProgram& prog,
     auto it = tab.find(o.name);
     if (it != tab.end()) return it->second;
     const auto s = static_cast<std::uint32_t>(p.slots_.size());
-    p.slots_.push_back({o.name, ValueMap::hashKey(o.name), o.isField()});
+    p.slots_.push_back(
+        {o.name, o.isField() ? ValueMap::hashKey(o.name) : 0, o.isField()});
     tab.emplace(o.name, s);
     return s;
   };
@@ -715,8 +716,64 @@ ExecPlan ExecPlan::compile(const IrProgram& prog,
     }
     p.code_.push_back(d);
   }
+  p.varsFirst();
   if (opts.fuse) p.fusePeephole();
   return p;
+}
+
+void ExecPlan::varsFirst() {
+  std::vector<std::uint32_t> to(slots_.size());
+  std::uint32_t next = 0;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (!slots_[s].is_field) to[s] = next++;
+  }
+  var_count_ = next;
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (slots_[s].is_field) to[s] = next++;
+  }
+  std::vector<Slot> slots(slots_.size());
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    slots[to[s]] = std::move(slots_[s]);
+  }
+  slots_ = std::move(slots);
+  const auto slotRef = [&](OpRef r) { return opRefIsImm(r) ? r : to[r]; };
+  const auto slotDest = [&](std::int32_t d) {
+    return d < 0 ? d
+                 : static_cast<std::int32_t>(to[static_cast<std::size_t>(d)]);
+  };
+  for (OpRef& r : refs_) r = slotRef(r);
+  for (DecodedInstr& d : code_) {
+    if (d.hasPred()) d.pred = slotRef(d.pred);
+    d.dest = slotDest(d.dest);
+    d.dest2 = slotDest(d.dest2);
+  }
+}
+
+ParamBinding ExecPlan::bind(std::shared_ptr<const ParamLayout> layout) const {
+  ParamBinding b;
+  b.ids.reserve(var_count_);
+  for (std::size_t v = 0; v < var_count_; ++v) {
+    const std::uint32_t id = layout->idOf(slots_[v].name);
+    CLICKINC_CHECK(id != ParamLayout::kNoId,
+                   "param layout lacks plan variable " + slots_[v].name);
+    b.ids.push_back(id);
+  }
+  b.layout = std::move(layout);
+  return b;
+}
+
+const ParamBinding& ExecPlan::ownBinding() const {
+  // Built on first use: deployed plans run through their tenant's
+  // binding and never need one.
+  std::call_once(own_params_->once, [this] {
+    std::vector<std::string> names;
+    names.reserve(var_count_);
+    for (std::size_t v = 0; v < var_count_; ++v) {
+      names.push_back(slots_[v].name);
+    }
+    own_params_->binding = bind(ParamLayout::of(std::move(names)));
+  });
+  return own_params_->binding;
 }
 
 // Greedy left-to-right pairing of adjacent records. Legality:
@@ -795,9 +852,10 @@ ExecStats ExecPlan::run(StateStore* store, Rng* rng, PacketView& pkt) const {
 }
 
 ExecStats ExecPlan::run(StateStore* store, Rng* rng, PacketView& pkt,
-                        Scratch& scratch) const {
+                        Scratch& scratch, const ParamBinding* params) const {
   PacketView* p = &pkt;
-  return runBatch(store, rng, std::span<PacketView* const>(&p, 1), scratch);
+  return runBatch(store, rng, std::span<PacketView* const>(&p, 1), scratch,
+                  params);
 }
 
 ExecStats ExecPlan::runBatch(StateStore* store, Rng* rng,
@@ -824,11 +882,15 @@ ExecStats ExecPlan::runBatch(StateStore* store, Rng* rng,
 
 ExecStats ExecPlan::runBatch(StateStore* store, Rng* rng,
                              std::span<PacketView* const> pkts,
-                             Scratch& scratch) const {
+                             Scratch& scratch,
+                             const ParamBinding* params) const {
+  const ParamBinding& binding = params != nullptr ? *params : ownBinding();
+  const std::uint32_t* ids = binding.ids.data();
+  const std::size_t nvars = var_count_;
   const std::size_t nslots = slots_.size();
-  // The bind loop writes every slot, so regs need sizing only; dirty bits
-  // are cleared per packet in the same loop. State bindings must reset
-  // per call — the store can differ between calls.
+  // The bind loops write every slot, so regs need sizing only; dirty bits
+  // are cleared per packet. State bindings must reset per call — the
+  // store can differ between calls.
   auto& regs = scratch.regs;
   auto& dirty = scratch.dirty;
   regs.resize(nslots);
@@ -850,44 +912,44 @@ ExecStats ExecPlan::runBatch(StateStore* store, Rng* rng,
 
   ExecStats total;
   for (PacketView* pv : pkts) {
-    // Bind: load every slot from the packet (missing names read as 0,
-    // like the reference env/field lookups). Slot hashes are precomputed,
-    // so a bind is one probe per slot.
-    for (std::size_t s = 0; s < nslots; ++s) {
+    // Bind: variables load by id from the Param frame (unwritten ids hold
+    // 0); header fields probe by their precomputed hash (missing names
+    // read as 0, like the reference lookups).
+    ParamFrame& frame = pv->params;
+    if (nvars > 0) frame.bind(binding.layout);
+    const std::uint64_t* vals = frame.values();
+    for (std::size_t s = 0; s < nvars; ++s) regs[s] = vals[ids[s]];
+    for (std::size_t s = nvars; s < nslots; ++s) {
       const Slot& sl = slots_[s];
-      const ValueMap& map = sl.is_field ? pv->fields : pv->params;
-      auto it = map.findHashed(sl.name, sl.hash);
-      regs[s] = it == map.end() ? 0 : it->second;
-      dirty[s] = 0;
+      auto it = pv->fields.findHashed(sl.name, sl.hash);
+      regs[s] = it == pv->fields.end() ? 0 : it->second;
     }
+    std::fill(dirty.begin(), dirty.end(), std::uint8_t{0});
     c.pkt = pv;
     c.stats = ExecStats{};
     execPacket(c);
-    // Write back only runtime-written slots, so the packet's key sets
+    // Write back only runtime-written slots, so the packet's name sets
     // match the reference exactly (reads and predicated-off writes leave
-    // no trace). Pre-size the maps to avoid incremental rehashing while
-    // the temporaries pour in.
-    std::size_t dirty_vars = 0, dirty_fields = 0;
-    for (std::size_t s = 0; s < nslots; ++s) {
-      if (dirty[s]) ++(slots_[s].is_field ? dirty_fields : dirty_vars);
+    // no trace). A variable is one word and one written bit.
+    for (std::size_t s = 0; s < nvars; ++s) {
+      if (dirty[s]) frame.setId(ids[s], regs[s]);
     }
-    // Fresh maps (the common first-device case) take the probe-free bulk
-    // path: slot names are distinct by construction, so every dirty slot
-    // is a guaranteed-new key.
-    const bool params_fresh = pv->params.empty();
-    const bool fields_fresh = pv->fields.empty();
-    if (dirty_vars > 0) pv->params.reserve(pv->params.size() + dirty_vars);
+    std::size_t dirty_fields = 0;
+    for (std::size_t s = nvars; s < nslots; ++s) dirty_fields += dirty[s];
     if (dirty_fields > 0) {
+      // A fresh field map (the common first-device case) takes the
+      // probe-free bulk path: slot names are distinct by construction,
+      // so every dirty slot is a guaranteed-new key.
+      const bool fields_fresh = pv->fields.empty();
       pv->fields.reserve(pv->fields.size() + dirty_fields);
-    }
-    for (std::size_t s = 0; s < nslots; ++s) {
-      if (!dirty[s]) continue;
-      const Slot& sl = slots_[s];
-      ValueMap& map = sl.is_field ? pv->fields : pv->params;
-      if (sl.is_field ? fields_fresh : params_fresh) {
-        map.insertUnique(sl.name, sl.hash, regs[s]);
-      } else {
-        map.refHashed(sl.name, sl.hash) = regs[s];
+      for (std::size_t s = nvars; s < nslots; ++s) {
+        if (!dirty[s]) continue;
+        const Slot& sl = slots_[s];
+        if (fields_fresh) {
+          pv->fields.insertUnique(sl.name, sl.hash, regs[s]);
+        } else {
+          pv->fields.refHashed(sl.name, sl.hash) = regs[s];
+        }
       }
     }
     total.executed += c.stats.executed;

@@ -1,10 +1,10 @@
 // Precompiled execution plans: the emulator's interpreter fast path.
 //
 // ir::Interpreter (interp.h) re-decodes every operand on every packet —
-// each read is a string hash into the env/fields maps, each instruction
-// allocates a source-value vector, and each run() copies the whole Param
-// map. That per-packet decode cost is pure overhead once a snippet is
-// deployed: the instruction list never changes between packets.
+// each read is a name lookup into the Param frame or the field map, and
+// each instruction allocates a source-value vector. That per-packet
+// decode cost is pure overhead once a snippet is deployed: the
+// instruction list never changes between packets.
 //
 // ExecPlan::compile() runs the decode exactly once. Every operand is
 // resolved to either an immediate-pool index or a dense *slot* in a flat
@@ -16,8 +16,8 @@
 // re-decode.
 //
 // Semantics are bit-identical to the reference interpreter (proved by the
-// randomized equivalence tests in tests/test_ir.cc): identical Param maps
-// (including *which* keys exist — writes predicated off leave no trace),
+// randomized equivalence tests in tests/test_ir.cc): identical Params
+// (including *which* names exist — writes predicated off leave no trace),
 // identical header-field maps, identical verdict/mirror/CPU flags and
 // ExecStats, identical state-store contents (states are bound lazily, on
 // first executed touch, exactly like Interpreter::run).
@@ -53,6 +53,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <span>
 #include <string>
 #include <unordered_map>
@@ -127,11 +128,22 @@ struct ExecPlanOptions {
                          const ExecPlanOptions&) = default;
 };
 
+// A plan's variable slots bound to one ParamLayout: variable slot s reads
+// and writes the packet frame's id ids[s]. The emulator binds each
+// deployment entry's plan to its tenant's layout once, at deploy; plans
+// stay layout-free, so one cached plan serves every tenant running the
+// same segment.
+struct ParamBinding {
+  std::shared_ptr<const ParamLayout> layout;
+  std::vector<std::uint32_t> ids;
+};
+
 class ExecPlan {
  public:
   // One register-file slot: a distinct variable or header-field name.
-  // The name's ValueMap hash is computed once here so per-packet binds
-  // and write-backs never re-hash key strings.
+  // Variable slots come first, header fields after.
+  // A field's ValueMap hash is computed once here so per-packet binds and
+  // write-backs never re-hash key strings.
   struct Slot {
     std::string name;
     std::uint32_t hash = 0;
@@ -160,11 +172,14 @@ class ExecPlan {
   };
 
   // Executes the plan against one packet. Same contract as
-  // Interpreter::run: the environment is seeded from pkt.params/fields
-  // and written back afterwards.
+  // Interpreter::run: the register file is loaded from pkt.params/fields
+  // and the written slots are stored back afterwards. `params` binds the
+  // variable slots to the packet frame's layout; null uses the plan's
+  // own layout (frames bound elsewhere are remapped by name).
   ExecStats run(StateStore* store, Rng* rng, PacketView& pkt) const;
   ExecStats run(StateStore* store, Rng* rng, PacketView& pkt,
-                Scratch& scratch) const;
+                Scratch& scratch,
+                const ParamBinding* params = nullptr) const;
 
   // Batched execution: state binding and scratch buffers are set up once
   // and reused for every packet. Packets execute in order, so stateful
@@ -176,8 +191,14 @@ class ExecPlan {
   ExecStats runBatch(StateStore* store, Rng* rng,
                      std::span<PacketView* const> pkts) const;
   ExecStats runBatch(StateStore* store, Rng* rng,
-                     std::span<PacketView* const> pkts,
-                     Scratch& scratch) const;
+                     std::span<PacketView* const> pkts, Scratch& scratch,
+                     const ParamBinding* params = nullptr) const;
+
+  // Binds the variable slots to `layout`, which must name every variable
+  // of the plan (a tenant's layout covers all its segments).
+  ParamBinding bind(std::shared_ptr<const ParamLayout> layout) const;
+  // The binding to the plan's own layout: its variable names, sorted.
+  const ParamBinding& ownBinding() const;
 
   // Source instruction count of the compiled segment — the unit the
   // emulator's per-instruction latency model charges. Invariant under
@@ -209,11 +230,20 @@ class ExecPlan {
   // The superinstruction peephole: greedy left-to-right pairing of
   // adjacent fusable records (see exec_plan.cc for the legality rules).
   void fusePeephole();
+  // Renumbers the register file so variable slots come first: the Param
+  // bind and write-back loops then run over one dense prefix.
+  void varsFirst();
 
   std::vector<DecodedInstr> code_;
   std::vector<OpRef> refs_;             // source-operand pool
   std::vector<std::uint64_t> imms_;     // immediate pool
   std::vector<Slot> slots_;             // register-file layout
+  std::size_t var_count_ = 0;           // slots_[0, var_count_) are vars
+  struct OwnParams {
+    std::once_flag once;
+    ParamBinding binding;
+  };
+  std::shared_ptr<OwnParams> own_params_ = std::make_shared<OwnParams>();
   std::vector<StateObject> states_;     // copied specs, bound lazily at run
   std::size_t source_count_ = 0;
   std::size_t fused_pairs_ = 0;

@@ -217,16 +217,13 @@ ExecStats Interpreter::run(const IrProgram& prog,
                            std::span<const Instruction> instrs,
                            PacketView& pkt) {
   ExecStats stats;
-  // Local environment seeded from carried params.
-  ValueMap env = pkt.params;
+  // Variables live in the packet's Param frame, looked up by name.
+  ParamFrame& env = pkt.params;
 
   auto read = [&](const Operand& o) -> std::uint64_t {
     switch (o.kind) {
       case OperandKind::kConst: return o.value;
-      case OperandKind::kVar: {
-        auto it = env.find(o.name);
-        return it == env.end() ? 0 : it->second;
-      }
+      case OperandKind::kVar: return env.get(o.name);
       case OperandKind::kField: return pkt.field(o.name);
       case OperandKind::kNone: return 0;
     }
@@ -238,7 +235,7 @@ ExecStats Interpreter::run(const IrProgram& prog,
     if (o.isField()) {
       pkt.setField(o.name, t);
     } else {
-      env[o.name] = t;
+      env.set(o.name, t);
     }
   };
   auto setVerdict = [&](Verdict v) {
@@ -409,7 +406,6 @@ ExecStats Interpreter::run(const IrProgram& prog,
     }
   }
 
-  pkt.params = std::move(env);
   return stats;
 }
 

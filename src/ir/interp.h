@@ -27,6 +27,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "ir/param_frame.h"
 #include "ir/program.h"
 #include "ir/valuemap.h"
 #include "util/crc.h"
@@ -43,13 +44,13 @@ enum class Verdict : std::uint8_t {
 
 const char* verdictName(Verdict v);
 
-// The mutable view of one packet as it traverses INC devices.
-// Field/Param storage is a flat ValueMap: both interpreter paths hammer
-// these maps per packet, and the flat layout keeps copies and inserts
-// allocation-free on the hot path (see valuemap.h).
+// The mutable view of one packet as it traverses INC devices. Header
+// fields are a flat name-keyed ValueMap (see valuemap.h); Params are a
+// slot frame indexed by the tenant's ParamLayout, with a name view for
+// callers that set or read them by name (see param_frame.h).
 struct PacketView {
-  ValueMap fields;  // header fields
-  ValueMap params;  // Param carry-over
+  ValueMap fields;    // header fields
+  ParamFrame params;  // Param carry-over
   Verdict verdict = Verdict::kNone;
   bool mirrored = false;    // a mirror copy was emitted
   bool cpu_copied = false;  // a copy was punted to the control CPU
@@ -126,9 +127,9 @@ class Interpreter {
  public:
   Interpreter(StateStore* store, Rng* rng) : store_(store), rng_(rng) {}
 
-  // Executes a snippet of `prog` against `pkt`. The environment is seeded
-  // from pkt.params and written back afterwards so downstream devices see
-  // shared temporaries (the Param mechanism of §6).
+  // Executes a snippet of `prog` against `pkt`. Variables are read from
+  // and written to pkt.params by name, so downstream devices see shared
+  // temporaries (the Param mechanism of §6).
   ExecStats run(const IrProgram& prog, std::span<const Instruction> instrs,
                 PacketView& pkt);
 

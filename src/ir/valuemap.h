@@ -1,17 +1,17 @@
 // Flat open-addressing map from name to 64-bit value — the storage behind
-// PacketView's header-field and Param maps.
+// PacketView's header fields. Params are a slot frame instead
+// (param_frame.h); ValueMap still holds the Params a frame keeps by name
+// outside its layout.
 //
-// Both interpreter paths touch these maps on every packet: the reference
-// interpreter copies the Param map into its env and inserts every written
-// temporary; the compiled ExecPlan bulk-loads its register file from them
-// and writes the dirty slots back. With std::unordered_map each insert is
-// a node allocation and each copy re-allocates every node, which dominates
-// per-packet cost for programs with hundreds of temporaries. ValueMap
-// keeps entries in one contiguous vector (insertion order, short names
-// stay in SSO storage), caches each key's hash, and resolves lookups
-// through a power-of-two probe table — inserts are amortized push_backs,
-// copies are two memcpy-ish vector copies, and no per-entry allocation
-// survives on the hot path.
+// Both interpreter paths touch the field map on every packet: the
+// reference interpreter reads and writes fields by name; the compiled
+// ExecPlan loads its field slots from it and writes the dirty ones back.
+// With std::unordered_map each insert is a node allocation and each copy
+// re-allocates every node. ValueMap keeps entries in one contiguous
+// vector (insertion order, short names stay in SSO storage), caches each
+// key's hash, and resolves lookups through a power-of-two probe table —
+// inserts are amortized push_backs, copies are two memcpy-ish vector
+// copies, and no per-entry allocation survives on the hot path.
 //
 // API is the unordered_map subset the interpreters and tests use: find /
 // count / at / operator[] / iteration (pair-shaped entries, structured

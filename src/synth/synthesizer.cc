@@ -127,7 +127,6 @@ ChangeStats DeviceProgram::addSnippet(UserSnippet snippet) {
                   stats.other_users_affected.end()),
       stats.other_users_affected.end());
 
-  stats.executable_changed = true;
   parser_.mergeFrom(parserFor(snippet.prog->name, snippet.user_id),
                     snippet.user_id);
   snippets_.push_back(std::move(snippet));
@@ -149,7 +148,6 @@ ChangeStats DeviceProgram::removeUser(int user_id, bool lazy) {
     if (s.user_id != user_id) stats.other_users_affected.push_back(s.user_id);
   }
   strip(user_id);
-  stats.executable_changed = true;
   dirty_ = true;
   return stats;
 }

@@ -52,7 +52,6 @@ struct UserSnippet {
 
 // Effect of one add/remove on a device (drives the Table 6 accounting).
 struct ChangeStats {
-  bool executable_changed = false;
   std::vector<int> other_users_affected;  // co-resident programs touched
 };
 

@@ -420,6 +420,108 @@ TEST_F(EmuFixture, PlanCacheSharedAcrossReplicaDeployments) {
   EXPECT_EQ(emu_.planCache().size(), 1u);
 }
 
+// --- Param frames: per-tenant layouts over shared plans ---
+
+// Two tenants deployed from one template as two distinct IrProgram
+// objects, each split d0 | d1 with its own ParamLayout: the plan cache
+// serves the second tenant the first one's plans, and the Params each
+// packet carries from d0 to d1 match the reference interpreter.
+TEST(EmuParamFrame, TenantsFromOneTemplateShareCachedPlans) {
+  const auto tmpl = aggAndDropThird();
+  const std::shared_ptr<const ir::IrProgram> progs[] = {
+      std::make_shared<ir::IrProgram>(*tmpl),
+      std::make_shared<ir::IrProgram>(*tmpl)};
+  const std::shared_ptr<const ir::ParamLayout> layouts[] = {
+      ir::ParamLayout::of(*progs[0]), ir::ParamLayout::of(*progs[1])};
+  ASSERT_NE(layouts[0], layouts[1]);
+
+  auto run = [&](bool reference) {
+    topo::Topology topo = topo::Topology::chain(
+        {device::makeTofino(), device::makeTofino()});
+    Emulator emu(&topo, 11);
+    emu.setReferenceInterpreter(reference);
+    std::uint64_t hits_before_second = 0;
+    for (int t = 0; t < 2; ++t) {
+      if (t == 1) hits_before_second = emu.planCache().stats().hits;
+      const int user = t + 1;
+      DeploymentEntry a, b;
+      a.user_id = b.user_id = user;
+      a.prog = b.prog = progs[t];
+      a.params.layout = b.params.layout = layouts[t];
+      a.instr_idxs = {0, 1, 2};
+      a.step_from = 0;
+      a.step_to = 1;
+      b.instr_idxs = {3, 4};
+      b.step_from = 1;
+      b.step_to = 2;
+      emu.deploy(topo.findNode("d0"), a);
+      emu.deploy(topo.findNode("d1"), b);
+    }
+    // The second tenant's two segments both hit the first one's plans.
+    EXPECT_EQ(emu.planCache().stats().hits, hits_before_second + 2);
+    EXPECT_EQ(emu.planCache().size(), 2u);
+
+    std::vector<Burst> bursts;
+    for (int t = 0; t < 2; ++t) {
+      Burst b;
+      b.src = topo.findNode("client");
+      b.dst = topo.findNode("server");
+      b.wire_bytes = b.useful_bytes = 100;
+      for (int i = 0; i < 9; ++i) {
+        ir::PacketView view;
+        view.user_id = t + 1;
+        view.setField("hdr.value", static_cast<std::uint64_t>(i * 3 + t));
+        b.views.push_back(std::move(view));
+      }
+      bursts.push_back(std::move(b));
+    }
+    return emu.sendBursts(std::move(bursts));
+  };
+
+  const auto ref = run(true);
+  const auto fast = run(false);
+  ASSERT_EQ(ref.size(), fast.size());
+  for (std::size_t t = 0; t < ref.size(); ++t) {
+    ASSERT_EQ(ref[t].size(), fast[t].size());
+    for (std::size_t i = 0; i < ref[t].size(); ++i) {
+      SCOPED_TRACE(cat("tenant ", t + 1, " packet ", i));
+      const auto& r = ref[t][i];
+      const auto& f = fast[t][i];
+      EXPECT_EQ(r.view.params, f.view.params);
+      EXPECT_EQ(r.view.fields, f.view.fields);
+      EXPECT_EQ(r.view.verdict, f.view.verdict);
+      EXPECT_EQ(r.dropped, f.dropped);
+      EXPECT_EQ(r.final_node, f.final_node);
+      EXPECT_DOUBLE_EQ(r.latency_ns, f.latency_ns);
+      // Each packet carries its own tenant's layout, shared plan or not.
+      EXPECT_EQ(f.view.params.layout(), layouts[t]);
+      EXPECT_EQ(f.view.params.at("m"), (i + 1) % 3);
+    }
+  }
+}
+
+// A result's frame keeps its layout alive: Params still resolve by name
+// after the tenant is undeployed, and the layout dies with the last
+// entry and packet holding it.
+TEST_F(EmuFixture, ResultParamsOutliveTheTenantsLayout) {
+  auto prog = dropOdd();
+  DeploymentEntry e = entryFor(prog, 1, 0, 1);
+  auto layout = ir::ParamLayout::of(*prog);
+  const std::weak_ptr<const ir::ParamLayout> weak = layout;
+  e.params.layout = std::move(layout);
+  emu_.deploy(d0_, std::move(e));
+
+  PacketResult r = send(1, 4);
+  ASSERT_TRUE(r.delivered);
+  emu_.undeploy(d0_, 1);
+  ASSERT_FALSE(weak.expired());
+  EXPECT_EQ(r.view.params.layout(), weak.lock());
+  EXPECT_EQ(r.view.params.at("lsb"), 0u);
+  EXPECT_EQ(r.view.params.count("lsb"), 1u);
+  r = PacketResult{};
+  EXPECT_TRUE(weak.expired());
+}
+
 TEST(EmuBypass, AcceleratorProcessesAsPartOfSwitchHop) {
   // A switch with an attached accelerator: snippets on the accel run when
   // the packet traverses the switch.

@@ -833,6 +833,98 @@ TEST(ExecPlan, PredicatedOffWritesLeaveNoTrace) {
   EXPECT_EQ(store.find("never"), nullptr);  // lazy binding, like reference
 }
 
+// --- Param frames (param_frame.h) ---
+
+// out = carried + 5, where `carried` arrives from an upstream device.
+IrProgram readsCarried() {
+  IrProgram p;
+  p.instrs.push_back(mk(Opcode::kAdd, Operand::var("out", 32),
+                        {Operand::var("carried", 32),
+                         Operand::constant(5, 32)}));
+  return p;
+}
+
+TEST(ParamFrame, NameSetBeforeBindIsAdoptedAndRead) {
+  const IrProgram prog = readsCarried();
+  const ExecPlan plan = ExecPlan::compile(prog);
+  StateStore ref_store, plan_store;
+  clickinc::Rng ref_rng(1), plan_rng(1);
+  Interpreter ref(&ref_store, &ref_rng);
+  PacketView a, b;
+  for (PacketView* pkt : {&a, &b}) {
+    pkt->params["carried"] = 37;
+    pkt->params["other"] = 9;  // no program names it
+    EXPECT_EQ(pkt->params.layout(), nullptr);
+  }
+  ref.runAll(prog, a);
+  plan.run(&plan_store, &plan_rng, b);
+  expectSamePacket(a, b);
+
+  // The plan bound the frame and adopted `carried` into its slot.
+  const ParamFrame& f = b.params;
+  ASSERT_NE(f.layout(), nullptr);
+  const std::uint32_t id = f.layout()->idOf("carried");
+  ASSERT_NE(id, ParamLayout::kNoId);
+  EXPECT_TRUE(f.written(id));
+  EXPECT_EQ(f.values()[id], 37u);
+  EXPECT_EQ(f.at("out"), 42u);
+  EXPECT_EQ(f.at("other"), 9u);  // kept aside, still visible by name
+  EXPECT_EQ(f.layout()->idOf("other"), ParamLayout::kNoId);
+  EXPECT_EQ(f.size(), 3u);
+
+  // randomPacket's `carried` is adopted the same way by every plan.
+  clickinc::Rng gen(3), pkt_gen(4);
+  const ExecPlan random_plan = ExecPlan::compile(randomProgram(gen, 10));
+  PacketView r = randomPacket(pkt_gen);
+  const std::uint64_t carried = r.params.at("carried");
+  random_plan.run(&plan_store, &plan_rng, r);
+  EXPECT_NE(r.params.layout(), nullptr);
+  EXPECT_EQ(r.params.at("carried"), carried);
+}
+
+TEST(ParamFrame, EqualityIsByNameAcrossLayouts) {
+  const auto l1 = ParamLayout::of(std::vector<std::string>{"a", "b", "c"});
+  const auto l2 = ParamLayout::of(std::vector<std::string>{"z", "b", "a"});
+  const auto l1_copy = ParamLayout::of(
+      std::vector<std::string>{"c", "a", "b"});  // same names
+  EXPECT_NE(l1->fingerprint(), l2->fingerprint());
+  EXPECT_EQ(l1->fingerprint(), l1_copy->fingerprint());
+  EXPECT_EQ(l1->idOf("a"), 0u);
+  EXPECT_EQ(l2->idOf("z"), 2u);  // ids follow sorted order
+
+  const auto frameOver = [](const std::shared_ptr<const ParamLayout>& l) {
+    ParamFrame f;
+    if (l != nullptr) f.bind(l);
+    f.set("a", 1);
+    f.set("b", 2);
+    return f;
+  };
+  const ParamFrame f1 = frameOver(l1);
+  const std::shared_ptr<const ParamLayout> unbound;
+  for (const auto& layout : {l2, l1_copy, unbound}) {
+    const ParamFrame base = frameOver(layout);
+    EXPECT_EQ(f1, base);
+    EXPECT_EQ(base, f1);
+
+    ParamFrame value = base;  // one value differs
+    value.set("b", 3);
+    EXPECT_NE(f1, value);
+    EXPECT_NE(value, f1);
+
+    ParamFrame bit = base;  // one more written name, even holding 0
+    bit.set("c", 0);
+    EXPECT_NE(f1, bit);
+    EXPECT_NE(bit, f1);
+  }
+
+  // Rebinding keeps the name view: values move to the new layout's ids.
+  ParamFrame moved = f1;
+  moved.bind(l2);
+  EXPECT_EQ(moved, f1);
+  EXPECT_EQ(moved.values()[l2->idOf("b")], 2u);
+  EXPECT_FALSE(moved.written(l2->idOf("z")));
+}
+
 TEST(ExecPlan, CacheHitsOnIdenticalSegmentsAndKeysOnContent) {
   clickinc::Rng gen(7);
   IrProgram prog = randomProgram(gen, 20);

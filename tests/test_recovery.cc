@@ -478,6 +478,71 @@ TEST(Recovery, CraftedCheckpointHealthFailsClosed) {
   }
 }
 
+// A kHealth record is raw bytes under a valid CRC as well: a health byte
+// or event kind out of range must fail replay closed instead of being
+// applied (a kind other than node was once replayed as a link).
+TEST(Recovery, CraftedHealthRecordFailsClosed) {
+  durable::MemJournalSink sink;
+  ClickIncService primary(topo::Topology::paperEmulation());
+  primary.attachJournal(&sink);
+  const auto r = primary.submit(dqaccRequest(primary.topology()));
+  ASSERT_TRUE(r.ok) << r.error.message();
+  const auto& link = primary.topology().links().front();
+  primary.failLink(link.a, link.b);
+
+  const auto bytes = sink.readAll();
+  const auto scan = durable::scanJournal(bytes);
+  std::size_t at = scan.records.size();
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    if (scan.records[i].type == durable::RecordType::kHealth) at = i;
+  }
+  ASSERT_LT(at, scan.records.size());
+  const auto& rec = scan.records[at];
+  const durable::HealthRecord good = durable::decodeHealth(rec.payload);
+  ASSERT_EQ(good.event.kind, topo::FailureEvent::Kind::kLink);
+
+  // The journal up to the kHealth record, then `hr` framed (and CRC'd)
+  // like the original; the kFailover summary is cut.
+  const auto recoverWith = [&](const durable::HealthRecord& hr) {
+    durable::MemJournalSink crafted;
+    crafted.setBytes(std::vector<std::uint8_t>(
+        bytes.begin(),
+        bytes.begin() + static_cast<std::ptrdiff_t>(rec.offset)));
+    durable::appendRecord(crafted, rec.seq, durable::RecordType::kHealth,
+                          durable::encodeHealth(hr));
+    ClickIncService svc(topo::Topology::paperEmulation());
+    const auto rep = svc.recover(&crafted);
+    if (!rep.ok) {
+      EXPECT_EQ(rep.error.stage, Stage::kRecovery);
+      EXPECT_TRUE(svc.deployments().empty());
+      // The failed recovery left a fresh, working service behind.
+      EXPECT_TRUE(svc.submit(dqaccRequest(svc.topology())).ok);
+    }
+    return rep.error.code;
+  };
+  EXPECT_EQ(recoverWith(good), ErrorCode::kOk);
+
+  durable::HealthRecord bad_health = good;
+  bad_health.event.kind = topo::FailureEvent::Kind::kNode;
+  bad_health.event.node = 2;
+  bad_health.event.from = topo::Health::kUp;
+  bad_health.event.to = static_cast<topo::Health>(7);
+  EXPECT_EQ(recoverWith(bad_health), ErrorCode::kRecovery);
+
+  // Link endpoints stay valid, so only the kind byte is wrong.
+  durable::HealthRecord bad_kind = good;
+  bad_kind.event.kind = static_cast<topo::FailureEvent::Kind>(7);
+  EXPECT_EQ(recoverWith(bad_kind), ErrorCode::kRecovery);
+
+  // The untouched journal still recovers.
+  ClickIncService again(topo::Topology::paperEmulation());
+  durable::MemJournalSink copy;
+  copy.setBytes(bytes);
+  const auto rep = again.recover(&copy);
+  ASSERT_TRUE(rep.ok) << rep.error.message();
+  expectSameState(again, primary);
+}
+
 TEST(Recovery, AttachRequiresAFreshServiceAndSink) {
   ClickIncService used(topo::Topology::paperEmulation());
   ASSERT_TRUE(used.submit(dqaccRequest(used.topology())).ok);
