@@ -154,9 +154,8 @@ struct SubmitResult {
   place::PlacementPlan plan;
   Impact impact;
   // The commit stage discarded the speculative plan and re-placed against
-  // live occupancy (an earlier commit changed it, or the guessed user id
-  // was off because an earlier in-batch request failed). At most one
-  // re-place happens per submission.
+  // live occupancy or health (an earlier commit or a failure changed it).
+  // At most one re-place happens per submission.
   bool recompiled = false;
   // Retry accounting: how many attempts ran and the total deterministic
   // backoff the policy charged between them (simulated — no wall clock).

@@ -145,8 +145,7 @@ void validateCheckpointHealth(const durable::CheckpointRecord& cp,
 }  // namespace
 
 // The block DAG and EC tree a placement runs on. A compile builds both;
-// a commit-stage re-place keeps whichever is still valid (the DAG unless
-// the program was re-lowered, the tree unless health moved).
+// a commit-stage re-place keeps the DAG, and the tree unless health moved.
 struct ClickIncService::PlaceInputs {
   std::optional<place::BlockDag> dag;  // points into the placed program
   std::optional<topo::EcTree> tree;
@@ -156,16 +155,14 @@ struct ClickIncService::PlaceInputs {
 // setConcurrency swap cannot destroy it mid-compile), the request's
 // placement domain with its version, adaptive-ratio scope and IntraMemo
 // shard (kCrossDomain / global version / nullptr / the global memo when
-// sharding is off or the traffic crosses pods), the user id the frontend
-// names the program after, the service epoch, and the EC partition of
-// live health with that health's version.
+// sharding is off or the traffic crosses pods), the service epoch, and
+// the EC partition of live health with that health's version.
 struct ClickIncService::CompileScope {
   std::shared_ptr<util::ThreadPool> pool;
   int domain = scale::kCrossDomain;
   std::uint64_t version = 0;
   const std::vector<int>* ratio = nullptr;
   std::shared_ptr<place::IntraMemo> memo;
-  int user = 1;
   std::uint64_t epoch = 0;
   std::shared_ptr<const topo::EcPartition> partition;
   std::uint64_t health_version = 0;
@@ -233,19 +230,15 @@ void ClickIncService::setDomainSharding(bool on) {
   }
 }
 
-ir::IrProgram ClickIncService::compileFrontend(SubmitRequest& req,
-                                               int user) const {
+ir::IrProgram ClickIncService::compileFrontend(SubmitRequest& req) const {
   switch (req.kind) {
     case SubmitRequest::Kind::kTemplate:
-      return lib_.compileTemplate(
-          req.template_name, cat(toLower(req.template_name), "_", user),
-          req.params);
+      return lib_.compileTemplate(req.template_name,
+                                  toLower(req.template_name), req.params);
     case SubmitRequest::Kind::kSource:
-      return lib_.compileUser(req.source, cat("user_", user), req.header,
-                              req.constants);
+      return lib_.compileUser(req.source, "user", req.header, req.constants);
     case SubmitRequest::Kind::kProgram:
-      // Moved, not copied: kProgram submissions are compiled exactly once
-      // (the rename re-lower path excludes them).
+      // Moved, not copied: the frontend runs once per attempt.
       return std::move(req.program);
   }
   throw InternalError("unhandled SubmitRequest kind");
@@ -310,14 +303,11 @@ std::vector<SubmitResult> ClickIncService::submitAll(
   }
 
   // Stage 1: speculative compiles, all against one occupancy snapshot.
-  // User ids are guessed assuming every earlier request succeeds; the
-  // commit stage corrects the rare miss (an earlier in-batch failure).
   const place::OccupancyMap snapshot = ledger_.occupancy();
   std::vector<CompileScope> scopes;
   scopes.reserve(requests.size());
-  for (std::size_t i = 0; i < requests.size(); ++i) {
-    scopes.push_back(compileScopeLocked(requests[i].traffic,
-                                        next_user_ + static_cast<int>(i)));
+  for (const auto& req : requests) {
+    scopes.push_back(compileScopeLocked(req.traffic));
   }
   lock.unlock();
   std::vector<Speculative> specs(requests.size());
@@ -422,7 +412,7 @@ place::PlacementPlan ClickIncService::placeLocked(
 }
 
 ClickIncService::CompileScope ClickIncService::compileScopeLocked(
-    const topo::TrafficSpec& traffic, int user) {
+    const topo::TrafficSpec& traffic) {
   CompileScope scope;
   scope.pool = pool_;
   scope.domain = ledger_.domainOf(traffic);
@@ -431,7 +421,6 @@ ClickIncService::CompileScope ClickIncService::compileScopeLocked(
   scope.memo = scope.domain == scale::kCrossDomain
                    ? arena_.memoHandle()
                    : domain_memos_[static_cast<std::size_t>(scope.domain)];
-  scope.user = user;
   scope.epoch = epoch_;
   scope.partition = partitionLocked(topo_.healthView());
   scope.health_version = topo_.healthVersion();
@@ -465,7 +454,7 @@ ClickIncService::Speculative ClickIncService::compileSpeculative(
   spec.scope = std::move(scope);
   const CompileScope& sc = spec.scope;
   try {
-    spec.prog = std::make_shared<ir::IrProgram>(compileFrontend(req, sc.user));
+    spec.prog = std::make_shared<ir::IrProgram>(compileFrontend(req));
   } catch (...) {
     spec.error = errorFromCurrentException(Stage::kCompile);
     return spec;
@@ -519,7 +508,7 @@ SubmitResult ClickIncService::submitWithRetry(SubmitRequest req,
 
 SubmitResult ClickIncService::submitOnce(SubmitRequest& req, bool staged) {
   std::unique_lock<std::mutex> lock(mu_);
-  CompileScope scope = compileScopeLocked(req.traffic, next_user_);
+  CompileScope scope = compileScopeLocked(req.traffic);
   const place::OccupancyMap& live = ledger_.occupancy();
   if (!staged) {
     // Sync: with the lock held across both stages, the live ledger IS the
@@ -554,9 +543,9 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
                                                 SubmitRequest& req) {
   SubmitResult result;
   result.user_id = next_user_;
-  // A recover() completed while this submission compiled: its snapshot,
-  // guessed id, and cancellation bookkeeping all describe the pre-crash
-  // world. Refuse to commit into the new epoch; the caller may resubmit.
+  // A recover() completed while this submission compiled: its snapshot
+  // and cancellation bookkeeping describe the pre-crash world. Refuse to
+  // commit into the new epoch; the caller may resubmit.
   if (spec.scope.epoch != epoch_) {
     result.error = {ErrorCode::kUnavailable, Stage::kCommit,
                     "service recovered while the submission was in flight"};
@@ -574,29 +563,10 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
     return result;
   }
   if (!spec.error.ok()) {
-    // Frontend failures are deterministic regardless of user id or
-    // occupancy; report them as-is.
+    // Frontend failures depend on neither occupancy nor the user id;
+    // report them as-is.
     result.error = spec.error;
     return result;
-  }
-
-  // The guessed user id seeds program and state-prefix names; a miss
-  // (an earlier in-batch request failed) means the speculative program
-  // carries the wrong prefixes, so re-lower with the real id. Placement
-  // is name-blind, but the plan's instruction indices must reference the
-  // program actually deployed — re-place rather than assume the lowering
-  // emitted the identical instruction order.
-  const bool rename = spec.scope.user != next_user_ &&
-                      req.kind != SubmitRequest::Kind::kProgram;
-  if (rename) {
-    try {
-      spec.prog =
-          std::make_shared<ir::IrProgram>(compileFrontend(req, next_user_));
-    } catch (...) {
-      result.error = errorFromCurrentException(Stage::kCommit);
-      return result;
-    }
-    spec.in.dag.reset();
   }
 
   // Optimistic-concurrency validation: any occupancy mutation since the
@@ -614,7 +584,7 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
       topo_.healthVersion() != spec.scope.health_version;
   const bool occ_moved =
       ledger_.version(spec.scope.domain) != spec.scope.version;
-  if (rename || health_moved || occ_moved) {
+  if (health_moved || occ_moved) {
     if (health_moved) {
       spec.in.tree.reset();
       spec.scope.partition = partitionLocked(topo_.healthView());
@@ -640,6 +610,11 @@ SubmitResult ClickIncService::commitSpeculative(Speculative&& spec,
     return result;
   }
 
+  // The id exists from here on: name the tenant's program after it before
+  // the kCommit record and the deploy see it.
+  if (req.kind != SubmitRequest::Kind::kProgram) {
+    modules::stampUser(*spec.prog, next_user_);
+  }
   commitAndDeployLocked(&result, spec.prog, req.traffic, req.options);
   return result;
 }

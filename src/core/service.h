@@ -339,11 +339,11 @@ class ClickIncService {
   struct CompileScope;  // lock-captured compile context (service.cc)
   struct PlaceInputs;   // block DAG + EC tree of a placement (service.cc)
 
-  // Frontend compile of a request's payload for a given user id (the id
-  // seeds program / state-prefix names). Throws lang errors. A kProgram
-  // payload is *moved out* of the request — legal because that kind
-  // never reaches the rename re-lower path (the caller names it).
-  ir::IrProgram compileFrontend(SubmitRequest& req, int user) const;
+  // Frontend compile of a request's payload. User-free: a template lowers
+  // as `<template>` and a source as `user`; the commit stage stamps the
+  // id in (modules::stampUser). Throws lang errors. A kProgram payload is
+  // *moved out* of the request (the caller names it).
+  ir::IrProgram compileFrontend(SubmitRequest& req) const;
 
   // The one placement call. Builds whatever `in` (nullptr = nothing
   // cached) lacks — the block DAG of `prog`, the EC tree of `traffic`
@@ -369,9 +369,8 @@ class ClickIncService {
                                    const place::PlacementOptions& opts,
                                    PlaceInputs* in = nullptr);
 
-  // The compile context of a request about to compile as `user`.
-  CompileScope compileScopeLocked(const topo::TrafficSpec& traffic,
-                                  int user);
+  // The compile context of a request about to compile.
+  CompileScope compileScopeLocked(const topo::TrafficSpec& traffic);
 
   // The EC partition of `health`: the cached one when it was built for
   // the same node and link contents, else a fresh build that replaces it.
@@ -390,7 +389,8 @@ class ClickIncService {
                                  const place::OccupancyMap& occ,
                                  place::PlacementArena* arena);
 
-  // Stage 2 (lock held): validate + claim + synthesize + deploy.
+  // Stage 2 (lock held): validate + assign and stamp the user id + claim
+  // + synthesize + deploy.
   SubmitResult commitSpeculative(Speculative&& spec, SubmitRequest& req);
 
   // One attempt of the pipeline. Sync (`staged` false): compile against

@@ -19,7 +19,14 @@ void writeOperand(BinWriter& w, const ir::Operand& o) {
 
 ir::Operand readOperand(BinReader& r) {
   ir::Operand o;
-  o.kind = static_cast<ir::OperandKind>(r.u8());
+  const std::uint8_t kind = r.u8();
+  // Untrusted bytes: a kind past kField would read as a variable to the
+  // compiled engine and as 0 to the reference interpreter.
+  if (kind > static_cast<std::uint8_t>(ir::OperandKind::kField)) {
+    throw Error("durable: operand kind " + std::to_string(kind) +
+                " out of range");
+  }
+  o.kind = static_cast<ir::OperandKind>(kind);
   o.name = r.str();
   o.value = r.u64();
   o.width = r.i32();

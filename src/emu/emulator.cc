@@ -177,109 +177,78 @@ std::vector<ir::Instruction> Emulator::materializeSegment(
   return segment;
 }
 
-double Emulator::runEntriesOn(int node,
-                              const std::vector<DeploymentEntry>& entries,
-                              ir::PacketView& view,
-                              ir::ExecPlan::Scratch& scratch) {
-  const auto& model = topo_->node(node).model;
+double Emulator::runEntry(int node, const DeploymentEntry& entry,
+                          std::span<ir::PacketView* const> views,
+                          ir::ExecPlan::Scratch& scratch) {
   ir::StateStore& store = storeOf(node);
-  double latency = 0;
-  for (const auto& entry : entries) {
-    if (!entryEligible(entry, view)) continue;
-
-    std::size_t seg_size;
-    if (use_reference_ || entry.plan == nullptr) {
-      // Reference path: re-decode the segment through the switch
-      // interpreter (cross-checked against the compiled path by the
-      // emulator equivalence tests).
-      const auto segment = materializeSegment(entry);
-      ir::Interpreter interp(&store, &rng_);
-      view.params.bind(entry.params.layout);
+  std::size_t seg_size;
+  if (use_reference_ || entry.plan == nullptr) {
+    // Reference path: re-decode the segment through the switch
+    // interpreter (cross-checked against the compiled path by the
+    // emulator equivalence tests).
+    const auto segment = materializeSegment(entry);
+    ir::Interpreter interp(&store, &rng_);
+    for (ir::PacketView* view : views) {
+      view->params.bind(entry.params.layout);
       interp.run(*entry.prog, std::span<const ir::Instruction>(segment),
-                 view);
-      seg_size = segment.size();
-    } else {
-      entry.plan->run(&store, &rng_, view, scratch, &entry.params);
-      seg_size = entry.plan->instrCount();
+                 *view);
     }
-    view.step = entry.step_to;
-    latency += model.base_latency_ns +
-               model.per_instr_ns * static_cast<double>(seg_size);
+    seg_size = segment.size();
+  } else {
+    entry.plan->runBatch(&store, &rng_, views, scratch, &entry.params);
+    seg_size = entry.plan->instrCount();
   }
-  if (latency == 0 && !entries.empty()) {
-    // Device hosts INC but nothing matched: plain pipeline traversal.
-    latency = model.base_latency_ns * 0.5;
-  }
-  return latency;
+  for (ir::PacketView* view : views) view->step = entry.step_to;
+  const auto& model = topo_->node(node).model;
+  return model.base_latency_ns +
+         model.per_instr_ns * static_cast<double>(seg_size);
 }
 
 void Emulator::processBatchAt(int node,
                               std::span<ir::PacketView* const> views,
                               std::span<double> latency_out, BurstCtx& ctx) {
   auto it = deployments_.find(node);
-  if (it == deployments_.end()) return;
+  if (it == deployments_.end() || it->second.empty()) return;
   auto failed_it = failed_.find(node);
   if (failed_it != failed_.end() && failed_it->second) return;
+  const std::vector<DeploymentEntry>& entries = it->second;
+  // Device hosts INC but nothing matched: plain pipeline traversal.
+  const double idle = topo_->node(node).model.base_latency_ns * 0.5;
 
   // Multiple entries on one device must run packet-major: with shared
   // state, running all packets through entry A before any reaches entry B
   // would leak later packets' writes into earlier packets' reads.
-  // Batching is only taken on the (common) single-entry device, and only
-  // for more than one packet: a lone packet (every send()) skips the
-  // batch bookkeeping.
-  if (it->second.size() > 1 || views.size() == 1) {
+  // Batching is only taken on the (common) single-entry device.
+  if (entries.size() > 1) {
     for (std::size_t k = 0; k < views.size(); ++k) {
-      latency_out[k] += runEntriesOn(node, it->second, *views[k],
-                                     ctx.scratch);
+      double latency = 0;
+      for (const auto& entry : entries) {
+        if (entryEligible(entry, *views[k])) {
+          latency += runEntry(node, entry, views.subspan(k, 1), ctx.scratch);
+        }
+      }
+      latency_out[k] += latency == 0 ? idle : latency;
     }
     return;
   }
 
-  const auto& model = topo_->node(node).model;
-  ir::StateStore& store = storeOf(node);
-  auto& added = ctx.batch_added;
+  const DeploymentEntry& entry = entries.front();
   auto& eligible = ctx.batch_eligible;
   auto& eligible_idx = ctx.batch_eligible_idx;
-  added.assign(views.size(), 0.0);
-  for (const auto& entry : it->second) {
-    eligible.clear();
-    eligible_idx.clear();
-    for (std::size_t k = 0; k < views.size(); ++k) {
-      if (!entryEligible(entry, *views[k])) continue;
+  eligible.clear();
+  eligible_idx.clear();
+  for (std::size_t k = 0; k < views.size(); ++k) {
+    if (entryEligible(entry, *views[k])) {
       eligible.push_back(views[k]);
       eligible_idx.push_back(k);
-    }
-    if (eligible.empty()) continue;
-
-    std::size_t seg_size;
-    if (use_reference_ || entry.plan == nullptr) {
-      const auto segment = materializeSegment(entry);
-      ir::Interpreter interp(&store, &rng_);
-      for (ir::PacketView* view : eligible) {
-        view->params.bind(entry.params.layout);
-        interp.run(*entry.prog, std::span<const ir::Instruction>(segment),
-                   *view);
-      }
-      seg_size = segment.size();
     } else {
-      entry.plan->runBatch(&store, &rng_,
-                           std::span<ir::PacketView* const>(eligible),
-                           ctx.scratch, &entry.params);
-      seg_size = entry.plan->instrCount();
-    }
-    const double entry_latency =
-        model.base_latency_ns +
-        model.per_instr_ns * static_cast<double>(seg_size);
-    for (std::size_t k = 0; k < eligible.size(); ++k) {
-      eligible[k]->step = entry.step_to;
-      added[eligible_idx[k]] += entry_latency;
+      latency_out[k] += idle;
     }
   }
-  for (std::size_t k = 0; k < views.size(); ++k) {
-    if (added[k] == 0 && !it->second.empty()) {
-      added[k] = model.base_latency_ns * 0.5;
-    }
-    latency_out[k] += added[k];
+  if (eligible.empty()) return;
+  const double latency = runEntry(node, entry, eligible, ctx.scratch);
+  for (std::size_t k : eligible_idx) {
+    latency_out[k] += latency == 0 ? idle : latency;
   }
 }
 

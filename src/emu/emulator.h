@@ -235,7 +235,6 @@ class Emulator {
   // floating-point addition sequence.
   struct BurstCtx {
     ir::ExecPlan::Scratch scratch;
-    std::vector<double> batch_added;
     std::vector<ir::PacketView*> batch_eligible;
     std::vector<std::size_t> batch_eligible_idx;
     // Per-hop scratch of the burst walk (in-flight subset + latencies).
@@ -295,9 +294,11 @@ class Emulator {
   bool userServedOnPath(const std::vector<int>& path, int user) const;
   // Drops one in-flight packet of a burst with a structured reason.
   void dropPacket(BurstRun& r, std::size_t i, int at, DropReason reason);
-  // The per-packet entry loop of a device (packet-major execution).
-  double runEntriesOn(int node, const std::vector<DeploymentEntry>& entries,
-                      ir::PacketView& view, ir::ExecPlan::Scratch& scratch);
+  // Runs one entry over `views` (each already eligible) and advances
+  // their step past it; returns the entry's per-packet latency.
+  double runEntry(int node, const DeploymentEntry& entry,
+                  std::span<ir::PacketView* const> views,
+                  ir::ExecPlan::Scratch& scratch);
   // The single eligibility gate both execution paths consult: user
   // filter, §6 step gates, and the already-decided check (verdicts never
   // unset, so skipping per entry equals an early break).
@@ -306,8 +307,8 @@ class Emulator {
   // Reference-path segment materialization (the seed's per-packet copy).
   static std::vector<ir::Instruction> materializeSegment(
       const DeploymentEntry& entry);
-  // Batched variant over the in-flight subset of a burst; appends each
-  // packet's added latency to `latency_out` (indexed like `views`).
+  // Runs a device's entries over the in-flight subset of a burst; adds
+  // each packet's latency to `latency_out` (indexed like `views`).
   // Devices hosting a single entry batch through ExecPlan::runBatch;
   // multi-entry devices fall back to packet-major execution so results
   // stay identical to sequential send() even when entries share state.

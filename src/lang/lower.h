@@ -74,8 +74,10 @@ struct CompileOptions {
   std::string program_name = "prog";
   // Profile-provided compile-time constants (e.g. TH, Num_agg, REQUEST).
   std::unordered_map<std::string, std::uint64_t> constants;
-  // Prefix applied to every state-object name (multi-user isolation is
-  // finalized in synthesis; the frontend seeds it with the program name).
+  // Prefix applied to every state-object name. The module library seeds it
+  // with `<program_name>_`; the service stamps the tenant's user id into
+  // both at commit (modules::stampUser), and synthesis finalizes
+  // multi-user isolation.
   std::string state_prefix;
 };
 

@@ -283,4 +283,15 @@ ir::IrProgram ModuleLibrary::compileUser(
   return lang::compileSource(source, hdr, opts, this);
 }
 
+void stampUser(ir::IrProgram& prog, int user) {
+  const std::string base = prog.name + "_";
+  const std::string stamped = cat(base, user, "_");
+  for (auto& s : prog.states) {
+    CLICKINC_CHECK(s.name.starts_with(base),
+                   cat("state ", s.name, " lacks the prefix ", base));
+    s.name.replace(0, base.size(), stamped);
+  }
+  prog.name = cat(prog.name, "_", user);
+}
+
 }  // namespace clickinc::modules

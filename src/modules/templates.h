@@ -31,7 +31,7 @@ class ModuleLibrary : public lang::TemplateResolver {
 
   // Compiles a template as a standalone program with the given parameter
   // overrides (missing ones take defaults). `program_name` doubles as the
-  // state-isolation prefix seed.
+  // state-isolation prefix seed: every state is `<program_name>_<suffix>`.
   ir::IrProgram compileTemplate(
       const std::string& name, const std::string& program_name,
       const std::map<std::string, std::uint64_t>& overrides = {}) const;
@@ -46,6 +46,13 @@ class ModuleLibrary : public lang::TemplateResolver {
  private:
   std::map<std::string, TemplateEntry> entries_;
 };
+
+// Names a program compiled above after its tenant: `<base>` becomes
+// `<base>_<user>` and each state `<base>_<suffix>` becomes
+// `<base>_<user>_<suffix>`, the names a compile with program_name
+// `<base>_<user>` gives. Lowering never sees a user id; the service stamps
+// at commit, where the id is assigned.
+void stampUser(ir::IrProgram& prog, int user);
 
 // Raw template sources (exported for the LoC comparison of Table 1).
 const std::string& kvsSource();

@@ -138,16 +138,24 @@ int Topology::findNode(const std::string& name) const {
   return -1;
 }
 
-std::vector<int> Topology::shortestPath(int src, int dst) const {
+namespace {
+
+// Hop-count BFS from `src` to `dst` over the edges `usable(cur, nb)`
+// admits; empty when unreachable. Neighbours are visited in adjacency
+// order whatever the filter, so ties break identically for every caller.
+template <typename Usable>
+std::vector<int> bfsPath(const std::vector<std::vector<int>>& adj, int src,
+                         int dst, Usable usable) {
   if (src == dst) return {src};
-  std::vector<int> prev(nodes_.size(), -1);
+  std::vector<int> prev(adj.size(), -1);
   std::deque<int> queue{src};
   prev[static_cast<std::size_t>(src)] = src;
   while (!queue.empty()) {
     const int cur = queue.front();
     queue.pop_front();
-    for (int nb : adj_[static_cast<std::size_t>(cur)]) {
+    for (int nb : adj[static_cast<std::size_t>(cur)]) {
       if (prev[static_cast<std::size_t>(nb)] != -1) continue;
+      if (!usable(cur, nb)) continue;
       prev[static_cast<std::size_t>(nb)] = cur;
       if (nb == dst) {
         std::vector<int> path{dst};
@@ -163,6 +171,12 @@ std::vector<int> Topology::shortestPath(int src, int dst) const {
     }
   }
   return {};
+}
+
+}  // namespace
+
+std::vector<int> Topology::shortestPath(int src, int dst) const {
+  return bfsPath(adj_, src, dst, [](int, int) { return true; });
 }
 
 std::vector<int> Topology::shortestPathUp(int src, int dst,
@@ -201,31 +215,9 @@ std::vector<int> Topology::shortestPathUp(int src, int dst,
            down_pairs.end();
   };
   if (!nodeUp(src) || !nodeUp(dst)) return {};
-  if (src == dst) return {src};
-  std::vector<int> prev(nodes_.size(), -1);
-  std::deque<int> queue{src};
-  prev[static_cast<std::size_t>(src)] = src;
-  while (!queue.empty()) {
-    const int cur = queue.front();
-    queue.pop_front();
-    for (int nb : adj_[static_cast<std::size_t>(cur)]) {
-      if (prev[static_cast<std::size_t>(nb)] != -1) continue;
-      if (!nodeUp(nb) || !linkUp(cur, nb)) continue;
-      prev[static_cast<std::size_t>(nb)] = cur;
-      if (nb == dst) {
-        std::vector<int> path{dst};
-        int v = dst;
-        while (v != src) {
-          v = prev[static_cast<std::size_t>(v)];
-          path.push_back(v);
-        }
-        std::reverse(path.begin(), path.end());
-        return path;
-      }
-      queue.push_back(nb);
-    }
-  }
-  return {};
+  return bfsPath(adj_, src, dst, [&](int cur, int nb) {
+    return nodeUp(nb) && linkUp(cur, nb);
+  });
 }
 
 Topology Topology::chain(const std::vector<device::DeviceModel>& devices) {

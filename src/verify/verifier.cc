@@ -129,6 +129,10 @@ void checkIrProgram(const TenantView& t, VerifyReport* out) {
       report(out, Invariant::kIrWellFormed, "missing-dest", t.user_id, -1,
              -1, where() + ": opcode requires a destination");
     }
+    if (ins.dest.isConst() || ins.dest2.isConst()) {
+      report(out, Invariant::kIrWellFormed, "const-dest", t.user_id, -1, -1,
+             where() + ": a destination must be a variable or field");
+    }
     const int nsrc = static_cast<int>(ins.srcs.size());
     if (nsrc < info.min_srcs ||
         (info.max_srcs >= 0 && nsrc > info.max_srcs)) {

@@ -59,7 +59,7 @@ const char* toString(Invariant inv);
 // One violated invariant instance. `check` is a stable slug naming the
 // concrete check that fired (see docs/verification.md#invariant-catalog):
 //   replica-divergence | over-claim | occupancy-drift | slot-collision |
-//   pred-clobber | bad-arity | missing-dest | bad-state-ref |
+//   pred-clobber | bad-arity | missing-dest | const-dest | bad-state-ref |
 //   use-before-def | bad-pred | bad-instr-index | bad-stage |
 //   bad-device
 struct Violation {

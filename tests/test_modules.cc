@@ -244,6 +244,38 @@ TEST_F(DqaccFixture, RollingReplacementEvictsOldest) {
   }
 }
 
+// Stamping a user-free compile yields, byte for byte, the program a
+// compile named after the tenant gives: templates, and a source whose
+// template instance nests its own prefix.
+TEST(StampUser, MatchesACompileNamedAfterTheTenant) {
+  ModuleLibrary lib;
+  for (const char* name : {"KVS", "MLAgg", "DQAcc"}) {
+    SCOPED_TRACE(name);
+    const std::string base = toLower(name);
+    ir::IrProgram prog = lib.compileTemplate(name, base);
+    stampUser(prog, 7);
+    EXPECT_EQ(prog.toString(),
+              lib.compileTemplate(name, base + "_7").toString());
+  }
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  const std::string src = "d = DQAcc(64, 2)\nd(hdr)\n";
+  ir::IrProgram prog = lib.compileUser(src, "user", hdr);
+  stampUser(prog, 12);
+  const ir::IrProgram named = lib.compileUser(src, "user_12", hdr);
+  EXPECT_EQ(prog.toString(), named.toString());
+  ASSERT_FALSE(prog.states.empty());
+  for (const auto& st : prog.states) {
+    EXPECT_TRUE(st.name.starts_with("user_12_dqacc_")) << st.name;
+  }
+}
+
+TEST(StampUser, RejectsAStateOutsideTheProgramPrefix) {
+  ir::IrProgram prog = ModuleLibrary().compileTemplate("DQAcc", "dqacc");
+  prog.states.front().name = "stray";
+  EXPECT_THROW(stampUser(prog, 1), InternalError);
+}
+
 TEST(SparseMlagg, ZeroBlocksEliminated) {
   ModuleLibrary lib;
   lang::HeaderSpec hdr;

@@ -340,8 +340,8 @@ void expectEmuStateIdentical(emu::Emulator& a, emu::Emulator& b,
 
 // Five tenants: three distinct templates, one duplicate template on
 // different traffic, and one failing request in the middle — the failure
-// leaves an id gap, forcing the pipelined commit stage through its
-// guessed-id correction path.
+// does not consume an id, so the tenants after it commit under ids one
+// below their batch position and must be named after those ids.
 std::vector<core::SubmitRequest> tenantBatch(
     const core::ClickIncService& svc) {
   auto traffic = [&](const std::vector<const char*>& srcs, const char* dst) {
@@ -430,13 +430,18 @@ TEST(ParallelService, SubmitAllBitIdenticalToSequentialSubmits) {
     }
 
     // Deployments: same users carrying byte-identical programs (names,
-    // state prefixes, instructions).
+    // state prefixes, instructions), each named after the id it
+    // committed under.
     ASSERT_EQ(par.deployments().size(), seq.deployments().size());
     for (const auto& [user, dep] : seq.deployments()) {
-      ASSERT_EQ(par.deployments().count(user), 1u) << "user " << user;
-      EXPECT_EQ(par.deployments().at(user).prog->toString(),
-                dep.prog->toString())
-          << "user " << user;
+      SCOPED_TRACE(cat("user ", user));
+      ASSERT_EQ(par.deployments().count(user), 1u);
+      const ir::IrProgram& got = *par.deployments().at(user).prog;
+      EXPECT_EQ(got.toString(), dep.prog->toString());
+      EXPECT_TRUE(got.name.ends_with(cat("_", user))) << got.name;
+      for (const auto& st : got.states) {
+        EXPECT_TRUE(st.name.starts_with(got.name + "_")) << st.name;
+      }
     }
 
     // Emulator behavior: the deployed network processes identical

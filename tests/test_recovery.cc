@@ -543,6 +543,48 @@ TEST(Recovery, CraftedHealthRecordFailsClosed) {
   expectSameState(again, primary);
 }
 
+// A kCommit record carries the tenant's IR as raw bytes under a valid CRC:
+// an operand kind byte past kField must fail replay closed, not reach an
+// execution engine that would read it as a variable (compiled) or as 0
+// (reference).
+TEST(Recovery, CraftedCommitOperandKindFailsClosed) {
+  durable::MemJournalSink sink;
+  ClickIncService primary(topo::Topology::paperEmulation());
+  primary.attachJournal(&sink);
+  ASSERT_TRUE(primary.submit(dqaccRequest(primary.topology())).ok);
+
+  const auto bytes = sink.readAll();
+  const auto scan = durable::scanJournal(bytes);
+  std::size_t at = scan.records.size();
+  for (std::size_t i = 0; i < scan.records.size(); ++i) {
+    if (scan.records[i].type == durable::RecordType::kCommit) at = i;
+  }
+  ASSERT_LT(at, scan.records.size());
+  const auto& rec = scan.records[at];
+  durable::CommitRecord cr = durable::decodeCommit(rec.payload);
+  ASSERT_FALSE(cr.prog.instrs.empty());
+  ASSERT_FALSE(cr.prog.instrs.front().srcs.empty());
+  cr.prog.instrs.front().srcs.front().kind =
+      static_cast<ir::OperandKind>(9);
+
+  durable::MemJournalSink crafted;
+  crafted.setBytes(std::vector<std::uint8_t>(
+      bytes.begin(),
+      bytes.begin() + static_cast<std::ptrdiff_t>(rec.offset)));
+  durable::appendRecord(crafted, rec.seq, durable::RecordType::kCommit,
+                        durable::encodeCommit(cr));
+  ClickIncService svc(topo::Topology::paperEmulation());
+  const auto rep = svc.recover(&crafted);
+  ASSERT_FALSE(rep.ok);
+  EXPECT_EQ(rep.error.code, ErrorCode::kRecovery);
+  EXPECT_EQ(rep.error.stage, Stage::kRecovery);
+  EXPECT_NE(rep.error.detail.find("operand kind 9"), std::string::npos)
+      << rep.error.detail;
+  EXPECT_TRUE(svc.deployments().empty());
+  // The failed recovery left a fresh, working service behind.
+  EXPECT_TRUE(svc.submit(dqaccRequest(svc.topology())).ok);
+}
+
 TEST(Recovery, AttachRequiresAFreshServiceAndSink) {
   ClickIncService used(topo::Topology::paperEmulation());
   ASSERT_TRUE(used.submit(dqaccRequest(used.topology())).ok);

@@ -3,8 +3,11 @@
 // request/ticket/commit lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <future>
+#include <set>
 #include <string>
 
 #include "core/service.h"
@@ -177,6 +180,24 @@ TEST_P(ServiceErrors, LoweringLimitsYieldLowerErrorAndServiceLives) {
   }
   const auto next = submit(dqaccRequest(svc));
   EXPECT_TRUE(next.ok) << next.error.message();
+}
+
+// Lowering runs before any user id exists, so a frontend error reports
+// kCompile from every entry point and its detail names the program base,
+// not a would-be id.
+TEST_P(ServiceErrors, FrontendErrorReportsCompileWithAnIdFreeDetail) {
+  auto& svc = service();
+  ASSERT_TRUE(submit(dqaccRequest(svc)).ok);  // id 1 is taken
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  const auto r = submit(SubmitRequest::fromSource(
+      "for i in range(hdr.value):\n    x = 1\n", hdr, {},
+      trafficFor(svc, {"pod0a"}, "pod2b")));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.code, ErrorCode::kLowerError);
+  EXPECT_EQ(r.error.stage, Stage::kCompile);
+  EXPECT_TRUE(r.error.detail.starts_with("user:1: ")) << r.error.detail;
+  EXPECT_EQ(svc.deployments().size(), 1u);
 }
 
 TEST_P(ServiceErrors, UnknownTemplateYieldsItsOwnCode) {
@@ -413,6 +434,86 @@ TEST(ServiceLifecycle, CancellationRefusesASyncSubmitReachingCommitFirst) {
   EXPECT_TRUE(svc.verifyDeployments().ok());
 }
 
+// Two staged submissions take their compile scope before either commits.
+// Lowering is user-free, so whichever commits second is simply named
+// after the id it receives there.
+TEST(ServiceLifecycle, AsyncTenantsCompiledTogetherAreNamedAtCommit) {
+  ClickIncService svc(topo::Topology::paperEmulation());
+  std::atomic<int> arrived{0};
+  std::promise<void> both, release;
+  auto both_f = both.get_future();
+  auto release_f = release.get_future().share();
+  svc.setCompileGate([&arrived, &both, release_f] {
+    if (++arrived == 2) both.set_value();
+    release_f.wait();
+  });
+  SubmissionTicket first = svc.submitAsync(dqaccRequest(svc, 64));
+  SubmissionTicket second = svc.submitAsync(dqaccRequest(svc, 128));
+  both_f.wait();
+  svc.setCompileGate(nullptr);
+  release.set_value();
+
+  std::set<int> users;
+  for (SubmissionTicket* t : {&first, &second}) {
+    const auto& r = t->get();
+    ASSERT_TRUE(r.ok) << r.error.message();
+    users.insert(r.user_id);
+    const ir::IrProgram& prog = *svc.deployments().at(r.user_id).prog;
+    EXPECT_EQ(prog.name, cat("dqacc_", r.user_id));
+    ASSERT_FALSE(prog.states.empty());
+    for (const auto& st : prog.states) {
+      EXPECT_TRUE(st.name.starts_with(cat("dqacc_", r.user_id, "_")))
+          << st.name;
+    }
+  }
+  EXPECT_EQ(users, (std::set<int>{1, 2}));
+  EXPECT_TRUE(svc.verifyDeployments().ok());
+}
+
+// A source tenant's template instance nests its prefix under the
+// tenant's: `user_<id>_<template>_...`.
+TEST(ServiceLifecycle, SourceTemplateInstanceIsNamedAfterTheTenant) {
+  ClickIncService svc(topo::Topology::paperEmulation());
+  ASSERT_TRUE(svc.submit(dqaccRequest(svc)).ok);
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  const auto r = svc.submit(SubmitRequest::fromSource(
+      "d = DQAcc(64, 2)\nd(hdr)\n", hdr, {},
+      trafficFor(svc, {"pod1a"}, "pod2b")));
+  ASSERT_TRUE(r.ok) << r.error.message();
+  ASSERT_EQ(r.user_id, 2);
+  const ir::IrProgram& prog = *svc.deployments().at(2).prog;
+  EXPECT_EQ(prog.name, "user_2");
+  ASSERT_FALSE(prog.states.empty());
+  for (const auto& st : prog.states) {
+    EXPECT_TRUE(st.name.starts_with("user_2_dqacc_")) << st.name;
+  }
+}
+
+// A frontend error after an in-batch failure: the error is the compile
+// stage's, and the tenant after it takes the id the failures left free.
+TEST(ServiceLifecycle, SubmitAllFrontendErrorAfterAFailureReportsCompile) {
+  ClickIncService svc(topo::Topology::paperEmulation());
+  svc.setConcurrency(4);
+  lang::HeaderSpec hdr;
+  hdr.add("value", 32);
+  std::vector<SubmitRequest> reqs;
+  reqs.push_back(SubmitRequest::fromTemplate(
+      "NoSuchTemplate", {}, trafficFor(svc, {"pod0a"}, "pod2b")));
+  reqs.push_back(SubmitRequest::fromSource(
+      "for i in range(hdr.value):\n    x = 1\n", hdr, {},
+      trafficFor(svc, {"pod0a"}, "pod2b")));
+  reqs.push_back(dqaccRequest(svc));
+  const auto results = svc.submitAll(std::move(reqs));
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_EQ(results[0].error.code, ErrorCode::kUnknownTemplate);
+  EXPECT_EQ(results[1].error.code, ErrorCode::kLowerError);
+  EXPECT_EQ(results[1].error.stage, Stage::kCompile);
+  ASSERT_TRUE(results[2].ok) << results[2].error.message();
+  EXPECT_EQ(results[2].user_id, 1);
+  EXPECT_EQ(svc.deployments().at(1).prog->name, "dqacc_1");
+}
+
 TEST(ServiceLifecycle, SubmitAllFallsBackSequentiallyWithoutPool) {
   ClickIncService svc(topo::Topology::paperEmulation());
   ASSERT_EQ(svc.concurrency(), 1);
@@ -435,6 +536,36 @@ TEST(ServiceLifecycle, SubmitProgramPayloadKeepsCallerName) {
       std::move(prog), trafficFor(svc, {"pod0a"}, "pod2b")));
   ASSERT_TRUE(r.ok) << r.error.message();
   EXPECT_EQ(svc.deployments().at(r.user_id).prog->name, "my_own_name");
+}
+
+
+// An IR program from a tenant is untrusted: a constant destination would
+// run as a variable in the compiled engine but read as 0 in the reference
+// interpreter. The commit gate refuses it and nothing stays deployed.
+TEST(ServiceLifecycle, ProgramWithAConstantDestinationIsRefused) {
+  ClickIncService svc(topo::Topology::paperEmulation());
+  const std::uint64_t digest = svc.emulator().deploymentDigest();
+  modules::ModuleLibrary lib;
+  auto prog = lib.compileTemplate("DQAcc", "crafted",
+                                  {{"CacheDepth", 64}, {"CacheLen", 2}});
+  auto it = std::find_if(prog.instrs.begin(), prog.instrs.end(),
+                         [](const ir::Instruction& i) {
+                           return i.dest.isVar();
+                         });
+  ASSERT_NE(it, prog.instrs.end());
+  it->dest = ir::Operand::constant(0, it->dest.width);
+  const auto r = svc.submit(SubmitRequest::fromProgram(
+      std::move(prog), trafficFor(svc, {"pod0a"}, "pod2b")));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error.code, ErrorCode::kVerification);
+  EXPECT_EQ(r.error.stage, Stage::kCommit);
+  EXPECT_NE(r.error.detail.find("const-dest"), std::string::npos)
+      << r.error.detail;
+  EXPECT_TRUE(svc.deployments().empty());
+  EXPECT_EQ(svc.emulator().deploymentDigest(), digest);
+  EXPECT_TRUE(svc.verifyDeployments().ok());
+  // Claims were returned: the same tenant without the corruption fits.
+  EXPECT_TRUE(svc.submit(dqaccRequest(svc)).ok);
 }
 
 }  // namespace
