@@ -237,13 +237,16 @@ std::vector<std::vector<int>> stronglyConnectedComponents(const DepGraph& g) {
   return t.comps;
 }
 
-Analysis analyzeProgram(const IrProgram& prog) {
+Analysis analyzeProgram(const IrProgram& prog,
+                        std::vector<std::vector<int>>* comps) {
   Analysis a;
   a.dep = buildDepGraph(prog);
   a.scc_of.assign(static_cast<std::size_t>(a.dep.n), -1);
-  const auto comps = stronglyConnectedComponents(a.dep);
-  for (std::size_t c = 0; c < comps.size(); ++c) {
-    for (int i : comps[c]) {
+  std::vector<std::vector<int>> local;
+  std::vector<std::vector<int>>& out = comps != nullptr ? *comps : local;
+  out = stronglyConnectedComponents(a.dep);
+  for (std::size_t c = 0; c < out.size(); ++c) {
+    for (int i : out[c]) {
       a.scc_of[static_cast<std::size_t>(i)] = static_cast<int>(c);
     }
   }

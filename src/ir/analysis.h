@@ -64,6 +64,10 @@ struct Analysis {
   }
 };
 
-Analysis analyzeProgram(const IrProgram& prog);
+// `comps`, when given, receives the SCCs as stronglyConnectedComponents
+// lists them, so a caller that also needs the components pays for one
+// dependency graph and one SCC pass.
+Analysis analyzeProgram(const IrProgram& prog,
+                        std::vector<std::vector<int>>* comps = nullptr);
 
 }  // namespace clickinc::ir

@@ -1,9 +1,8 @@
 #include "lang/optimize.h"
 
-#include <map>
-#include <set>
 #include <string_view>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "util/strings.h"
@@ -27,44 +26,61 @@ bool isFlagSelect(const Instruction& ins) {
 
 int rebalanceFlagChains(ir::IrProgram* prog) {
   auto& instrs = prog->instrs;
-  // Map from var name to the index of its defining instruction.
-  std::map<std::string, int> def_of;
-  for (std::size_t i = 0; i < instrs.size(); ++i) {
-    if (instrs[i].dest.isVar()) {
-      def_of[instrs[i].dest.name] = static_cast<int>(i);
-    }
-  }
-  // Count uses so we only rewrite chains whose intermediates are
-  // single-use (pure merge chains).
-  std::map<std::string, int> uses;
-  for (const auto& ins : instrs) {
+  const std::size_t n = instrs.size();
+  // Index of each var's (last) defining instruction, and each var's use
+  // count: only chains whose intermediates are single-use (pure merge
+  // chains) are rewritten.
+  std::unordered_map<std::string_view, int> def_of;
+  std::unordered_map<std::string_view, int> uses;
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& ins = instrs[i];
+    if (ins.dest.isVar()) def_of[ins.dest.name] = static_cast<int>(i);
     for (const auto& s : ins.srcs) {
       if (s.isVar()) ++uses[s.name];
     }
     if (ins.pred && ins.pred->isVar()) ++uses[ins.pred->name];
   }
-
-  int rewritten = 0;
-  for (std::size_t end = 0; end < instrs.size(); ++end) {
-    if (!isFlagSelect(instrs[end])) continue;
-    const std::uint64_t set_value = instrs[end].srcs[1].value;
-    // Only rewrite maximal chains: skip selects that feed a longer chain.
-    bool is_tail = true;
-    for (std::size_t k = end + 1; k < instrs.size(); ++k) {
-      if (isFlagSelect(instrs[k]) && instrs[k].srcs[1].value == set_value &&
-          instrs[k].srcs[2].isVar() &&
-          instrs[k].srcs[2].name == instrs[end].dest.name) {
-        is_tail = false;
-        break;
-      }
+  // Only maximal chains are rewritten: a tail is a flag select that no
+  // later select with the same set value extends.
+  struct Feed {
+    std::uint64_t value;
+    std::string_view name;
+    bool operator==(const Feed&) const = default;
+  };
+  struct FeedHash {
+    std::size_t operator()(const Feed& f) const {
+      return std::hash<std::string_view>{}(f.name) ^
+             static_cast<std::size_t>(f.value * 0x9E3779B97F4A7C15ULL);
     }
-    if (!is_tail) continue;
+  };
+  std::vector<char> is_tail(n, 0);
+  std::unordered_set<Feed, FeedHash> fed_later;
+  for (std::size_t k = n; k-- > 0;) {
+    const auto& ins = instrs[k];
+    if (!isFlagSelect(ins)) continue;
+    is_tail[k] = !fed_later.contains({ins.srcs[1].value, ins.dest.name});
+    if (ins.srcs[2].isVar()) {
+      fed_later.insert({ins.srcs[1].value, ins.srcs[2].name});
+    }
+  }
+
+  // Chains are disjoint (every intermediate has one use, by the next link)
+  // and a rewritten tail is still a tail, so one pass finds every chain and
+  // one splice replaces them all.
+  std::vector<char> dead(n, 0);
+  std::vector<int> tree_of(n, -1);
+  std::vector<std::vector<Instruction>> trees;
+  for (std::size_t end = 0; end < n; ++end) {
+    if (!is_tail[end]) continue;
+    const Instruction& tail = instrs[end];
+    const std::uint64_t set_value = tail.srcs[1].value;
     // Walk the chain backwards: select(p_k, c, select(p_{k-1}, c, ...)).
     std::vector<int> chain{static_cast<int>(end)};
-    Operand base = instrs[end].srcs[2];
+    Operand base = tail.srcs[2];
     while (base.isVar()) {
       auto it = def_of.find(base.name);
-      if (it == def_of.end()) break;
+      // A link is defined before its user; anything else is no chain.
+      if (it == def_of.end() || it->second >= chain.back()) break;
       const Instruction& prev = instrs[static_cast<std::size_t>(it->second)];
       if (!isFlagSelect(prev) || prev.srcs[1].value != set_value) break;
       if (uses[prev.dest.name] != 1) break;  // shared intermediate
@@ -73,67 +89,52 @@ int rebalanceFlagChains(ir::IrProgram* prog) {
     }
     if (chain.size() < 4) continue;  // short chains are fine as-is
 
-    // Collect the chain's predicates in program order.
-    std::vector<Operand> preds;
+    // Balanced OR tree over the chain's predicates in program order; the
+    // final select keeps the original destination so downstream uses are
+    // untouched.
+    std::vector<Operand> layer;
     for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
-      preds.push_back(instrs[static_cast<std::size_t>(*it)].srcs[0]);
+      layer.push_back(instrs[static_cast<std::size_t>(*it)].srcs[0]);
     }
-    // Balanced OR tree replacing the chain body; the final select keeps
-    // the original destination so downstream uses are untouched.
     std::vector<Instruction> tree;
     int tmp = 0;
-    const std::string stem = cat(instrs[end].dest.name, "_or");
-    std::vector<Operand> layer = preds;
+    const std::string stem = cat(tail.dest.name, "_or");
     while (layer.size() > 1) {
       std::vector<Operand> next;
       for (std::size_t k = 0; k + 1 < layer.size(); k += 2) {
         Instruction lor(Opcode::kLOr, Operand::var(cat(stem, tmp++), 1),
                         {layer[k], layer[k + 1]});
-        lor.owners = instrs[end].owners;
+        lor.owners = tail.owners;
         next.push_back(lor.dest);
         tree.push_back(std::move(lor));
       }
       if (layer.size() % 2 == 1) next.push_back(layer.back());
       layer = std::move(next);
     }
-    Instruction final_sel(Opcode::kSelect, instrs[end].dest,
-                          {layer[0], instrs[end].srcs[1], base});
-    final_sel.owners = instrs[end].owners;
+    Instruction final_sel(Opcode::kSelect, tail.dest,
+                          {layer[0], tail.srcs[1], base});
+    final_sel.owners = tail.owners;
     tree.push_back(std::move(final_sel));
+    for (int c : chain) dead[static_cast<std::size_t>(c)] = 1;
+    tree_of[end] = static_cast<int>(trees.size());
+    trees.push_back(std::move(tree));
+  }
+  if (trees.empty()) return 0;
 
-    // Replace: drop the old chain instructions, splice the tree at the
-    // chain head's position.
-    std::set<int> dead(chain.begin(), chain.end());
-    std::vector<Instruction> out;
-    out.reserve(instrs.size() + tree.size());
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-      if (dead.count(static_cast<int>(i))) {
-        if (static_cast<int>(i) == static_cast<int>(end)) {
-          for (auto& t : tree) out.push_back(std::move(t));
-        }
-        continue;
+  // Drop every chain's links and splice its tree at the tail's position.
+  std::vector<Instruction> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (tree_of[i] >= 0) {
+      for (auto& t : trees[static_cast<std::size_t>(tree_of[i])]) {
+        out.push_back(std::move(t));
       }
+    } else if (!dead[i]) {
       out.push_back(std::move(instrs[i]));
     }
-    instrs = std::move(out);
-    ++rewritten;
-    // Defs moved; restart scanning from scratch.
-    def_of.clear();
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-      if (instrs[i].dest.isVar()) {
-        def_of[instrs[i].dest.name] = static_cast<int>(i);
-      }
-    }
-    uses.clear();
-    for (const auto& ins : instrs) {
-      for (const auto& s : ins.srcs) {
-        if (s.isVar()) ++uses[s.name];
-      }
-      if (ins.pred && ins.pred->isVar()) ++uses[ins.pred->name];
-    }
-    end = 0;
   }
-  return rewritten;
+  instrs = std::move(out);
+  return static_cast<int>(trees.size());
 }
 
 int eliminateDeadCode(ir::IrProgram* prog) {

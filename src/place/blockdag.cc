@@ -244,11 +244,12 @@ BlockDag BlockDag::build(const ir::IrProgram& prog,
                          const BlockDagOptions& opts) {
   BlockDag dag;
   dag.prog_ = &prog;
-  const ir::DepGraph dep = ir::buildDepGraph(prog);
-
   // Step 1+2: SCC condensation groups state-sharing instructions and any
   // dependency loops into inseparable nodes, already topologically ordered.
-  const auto comps = ir::stronglyConnectedComponents(dep);
+  // The analysis is kept for the placers.
+  std::vector<std::vector<int>> comps;
+  dag.analysis_ = ir::analyzeProgram(prog, &comps);
+  const ir::DepGraph& dep = dag.analysis_.dep;
 
   std::vector<WorkNode> nodes;
   nodes.reserve(comps.size());

@@ -38,6 +38,8 @@ class BlockDag {
                         const BlockDagOptions& opts = {});
 
   const ir::IrProgram& prog() const { return *prog_; }
+  // Dependency graph and SCCs of prog(), built once by build().
+  const ir::Analysis& analysis() const { return analysis_; }
   const std::vector<Block>& blocks() const { return blocks_; }
   int size() const { return static_cast<int>(blocks_.size()); }
 
@@ -60,6 +62,7 @@ class BlockDag {
 
  private:
   const ir::IrProgram* prog_ = nullptr;
+  ir::Analysis analysis_;
   std::vector<Block> blocks_;       // topological order
   std::vector<int> cut_bits_;       // size() + 1 entries
   std::vector<double> prefix_score_;

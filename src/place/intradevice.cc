@@ -93,19 +93,17 @@ bool isTableLookup(const ir::Instruction& ins) {
   }
 }
 
-// Demand of one instruction at a (stage, state) site: the first stateful
-// touch of a state carries the SALU/table slot plus the state's
+// Demand of one touch of an instruction: the first stateful touch of a
+// state in a stage carries the SALU/table slot plus the state's
 // block-rounded storage; subsequent touches of the same state in the same
 // stage share the unit.
-device::ResourceDemand siteDemand(const ir::IrProgram& prog,
-                                  const ir::Instruction& ins,
-                                  const device::DeviceModel& model,
-                                  std::set<std::pair<int, int>>* seen,
-                                  int stage) {
+device::ResourceDemand touchDemand(const ir::IrProgram& prog,
+                                   const ir::Instruction& ins,
+                                   const device::DeviceModel& model,
+                                   bool first_touch) {
   device::ResourceDemand d = device::instrDemand(ins);
   if (ins.state_id >= 0) {
-    const auto key = std::make_pair(stage, ins.state_id);
-    if (seen->insert(key).second) {
+    if (first_touch) {
       device::ResourceDemand st = device::stateDemand(
           prog.states[static_cast<std::size_t>(ins.state_id)]);
       st.sram_bits = ceilDiv(st.sram_bits, model.sram_block_bits) *
@@ -122,6 +120,19 @@ device::ResourceDemand siteDemand(const ir::IrProgram& prog,
     }
   }
   return d;
+}
+
+// Demand of one instruction at a (stage, state) site, recording the site
+// in `seen`.
+device::ResourceDemand siteDemand(const ir::IrProgram& prog,
+                                  const ir::Instruction& ins,
+                                  const device::DeviceModel& model,
+                                  std::set<std::pair<int, int>>* seen,
+                                  int stage) {
+  const bool first_touch =
+      ins.state_id >= 0 &&
+      seen->insert(std::make_pair(stage, ins.state_id)).second;
+  return touchDemand(prog, ins, model, first_touch);
 }
 
 IntraPlacement placeWholeDevice(const DeviceOccupancy& occ,
@@ -395,18 +406,41 @@ IntraPlacement placeCompact(const DeviceOccupancy& occ,
   const ir::DepGraph& dep = analysis.dep;
   const int num_stages = occ.model->num_stages;
   std::vector<device::ResourceDemand> free = occ.free_stage;
-  std::map<int, int> stage_by_instr;
-  std::set<std::pair<int, int>> state_sites;
   out.stage_of.assign(instrs.size(), -1);
 
-  // All touches of one state object go to one stage (the array is bound to
-  // a single SALU), so a state's touch-group is placed atomically at the
-  // first encounter — otherwise later touches can find their pinned stage
-  // full.
-  std::map<int, std::vector<std::size_t>> group_of_state;
-  for (std::size_t k = 0; k < instrs.size(); ++k) {
-    const auto& ins = prog.instrs[static_cast<std::size_t>(instrs[k])];
-    if (ins.state_id >= 0) group_of_state[ins.state_id].push_back(k);
+  // Flat per-thread tables. stage_by_instr holds the stage of each placed
+  // instruction by program index, and a guard resets it to all -1 however
+  // the call exits. next_touch[k] is the segment position of the next
+  // touch of k's state (-1 at a group's end and for stateless
+  // instructions); touch_head links those chains and is reset at once.
+  thread_local std::vector<int> stage_by_instr;
+  thread_local std::vector<int> touch_head;
+  thread_local std::vector<int> next_touch;
+  if (stage_by_instr.size() < prog.instrs.size()) {
+    stage_by_instr.resize(prog.instrs.size(), -1);
+  }
+  if (touch_head.size() < prog.states.size()) {
+    touch_head.resize(prog.states.size(), -1);
+  }
+  struct Reset {
+    const std::vector<int>& instrs;
+    ~Reset() {
+      for (int idx : instrs) {
+        stage_by_instr[static_cast<std::size_t>(idx)] = -1;
+      }
+    }
+  } reset{instrs};
+  next_touch.assign(instrs.size(), -1);
+  for (std::size_t k = instrs.size(); k-- > 0;) {
+    const int sid = prog.instrs[static_cast<std::size_t>(instrs[k])].state_id;
+    if (sid < 0) continue;
+    int& head = touch_head[static_cast<std::size_t>(sid)];
+    next_touch[k] = head;
+    head = static_cast<int>(k);
+  }
+  for (int idx : instrs) {
+    const int sid = prog.instrs[static_cast<std::size_t>(idx)].state_id;
+    if (sid >= 0) touch_head[static_cast<std::size_t>(sid)] = -1;
   }
 
   // Earliest legal stage for one instruction given already-placed
@@ -415,48 +449,43 @@ IntraPlacement placeCompact(const DeviceOccupancy& occ,
     int earliest = min_stage;
     const auto& ins = prog.instrs[static_cast<std::size_t>(i)];
     for (int j : dep.deps[static_cast<std::size_t>(i)]) {
-      auto it = stage_by_instr.find(j);
-      if (it == stage_by_instr.end()) continue;  // producer upstream/later
+      const int stage = stage_by_instr[static_cast<std::size_t>(j)];
+      if (stage < 0) continue;  // producer upstream/later
       if (analysis.sameScc(i, j)) continue;
       const auto& producer = prog.instrs[static_cast<std::size_t>(j)];
       const bool fused = isTableLookup(producer) && !isTableLookup(ins);
-      earliest = std::max(earliest, it->second + (fused ? 0 : 1));
+      earliest = std::max(earliest, stage + (fused ? 0 : 1));
     }
     return earliest;
   };
 
-  std::vector<bool> done(instrs.size(), false);
+  // All touches of one state object go to one stage (the array is bound to
+  // a single SALU), so a state's touch group is placed atomically at its
+  // first touch — otherwise later touches could find their pinned stage
+  // full. Each group is placed exactly once, so no stage yet holds the
+  // group's state when it is probed: the first member carries the state's
+  // storage and slot, the later ones share them, and the group's combined
+  // demand is the same at every stage.
   for (std::size_t k = 0; k < instrs.size(); ++k) {
-    if (done[k]) continue;
+    if (out.stage_of[k] >= 0) continue;  // placed with its touch group
     const int i = instrs[k];
     const auto& ins = prog.instrs[static_cast<std::size_t>(i)];
     ++out.steps;
 
-    // Members placed together: the state's whole touch group, or just {k}.
-    std::vector<std::size_t> members = {k};
-    if (ins.state_id >= 0) members = group_of_state.at(ins.state_id);
-
     int earliest = min_stage;
-    for (std::size_t mk : members) {
-      earliest = std::max(earliest, earliestFor(instrs[mk]));
+    device::ResourceDemand combined;
+    for (int m = static_cast<int>(k); m >= 0;
+         m = next_touch[static_cast<std::size_t>(m)]) {
+      const int mi = instrs[static_cast<std::size_t>(m)];
+      earliest = std::max(earliest, earliestFor(mi));
+      combined.add(touchDemand(prog, prog.instrs[static_cast<std::size_t>(mi)],
+                               *occ.model, m == static_cast<int>(k)));
     }
 
     int placed_stage = -1;
     for (int s = earliest; s < num_stages; ++s) {
       ++out.steps;
-      // Probe the combined demand of all members at stage s.
-      std::set<std::pair<int, int>> probe = state_sites;
-      device::ResourceDemand combined;
-      for (std::size_t mk : members) {
-        combined.add(siteDemand(
-            prog, prog.instrs[static_cast<std::size_t>(instrs[mk])],
-            *occ.model, &probe, s));
-      }
-      if (combined.fitsWithin(free[static_cast<std::size_t>(s)])) {
-        CLICKINC_CHECK(
-            subtractFrom(free[static_cast<std::size_t>(s)], combined),
-            "fit check lied");
-        state_sites = std::move(probe);
+      if (subtractFrom(free[static_cast<std::size_t>(s)], combined)) {
         placed_stage = s;
         break;
       }
@@ -466,10 +495,11 @@ IntraPlacement placeCompact(const DeviceOccupancy& occ,
                     ") earliest=", earliest);
       return out;
     }
-    for (std::size_t mk : members) {
-      stage_by_instr[instrs[mk]] = placed_stage;
-      out.stage_of[mk] = placed_stage;
-      done[mk] = true;
+    for (int m = static_cast<int>(k); m >= 0;
+         m = next_touch[static_cast<std::size_t>(m)]) {
+      stage_by_instr[static_cast<std::size_t>(
+          instrs[static_cast<std::size_t>(m)])] = placed_stage;
+      out.stage_of[static_cast<std::size_t>(m)] = placed_stage;
     }
   }
 

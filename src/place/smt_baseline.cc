@@ -13,7 +13,7 @@ struct ChainSearch {
   const BlockDag* dag;
   const std::vector<device::DeviceModel>* chain;
   SmtOptions opts;
-  ir::Analysis analysis;
+  const ir::Analysis* analysis = nullptr;
 
   long steps = 0;
   bool stop = false;
@@ -100,7 +100,7 @@ struct ChainSearch {
       IntraPlacement p = placeExhaustive(
           occ, dag->prog(), dag->instrsOf(start, end),
           std::min(opts.max_steps - steps, opts.per_segment_steps), 0,
-          &analysis);
+          analysis);
       steps += p.steps;
       if (!p.feasible) continue;
       boundaries.push_back(end);
@@ -123,7 +123,7 @@ SmtResult smtPlaceChain(const BlockDag& dag,
   search.dag = &dag;
   search.chain = &chain;
   search.opts = opts;
-  search.analysis = ir::analyzeProgram(dag.prog());
+  search.analysis = &dag.analysis();
   search.boundaries.push_back(0);
   search.search(0, 0);
 

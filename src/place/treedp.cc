@@ -137,6 +137,7 @@ class TreePlacer {
              const PlacementOptions& opts, PlacementArena* arena)
       : t0_(std::chrono::steady_clock::now()),
         dag_(dag),
+        analysis_(dag.analysis()),
         tree_(tree),
         topo_(topo),
         occ_(occ),
@@ -153,7 +154,6 @@ class TreePlacer {
     nn_ = static_cast<int>(tree.nodes.size());
     stride_ = m_ + 1;
     seg_stride_ = static_cast<long>(stride_) * stride_;
-    analysis_ = ir::analyzeProgram(dag.prog());
     weights_ = opts.adaptive
                    ? adaptiveWeights(opts.ratio_devices != nullptr
                                          ? occ.remainingRatioOver(
@@ -317,6 +317,7 @@ class TreePlacer {
 
   std::chrono::steady_clock::time_point t0_;
   const BlockDag& dag_;
+  const ir::Analysis& analysis_;  // dag_'s, built once with it
   const topo::EcTree& tree_;
   const topo::Topology& topo_;
   const OccupancyMap& occ_;
@@ -330,7 +331,6 @@ class TreePlacer {
   int nn_ = 0;
   int stride_ = 1;
   long seg_stride_ = 1;
-  ir::Analysis analysis_;
   double score_norm_ = 1;
   double cut_norm_ = 1;
   std::vector<std::uint64_t> occ_fp_;  // node id -> occupancy fingerprint
@@ -365,14 +365,23 @@ class TreePlacer {
                           static_cast<std::size_t>(j)];
   }
 
+  // placeOn probes only the EC tree's devices and their attached
+  // accelerators (the bypass split), so only those are hashed, not every
+  // device of the ledger. Non-programmable devices never host a segment,
+  // and a sparse domain snapshot carries only its pod's devices.
   void computeOccFingerprints() {
     occ_fp_.assign(static_cast<std::size_t>(topo_.nodeCount()), 0);
-    for (const auto& n : topo_.nodes()) {
-      // A sparse domain snapshot carries only its pod's devices; the DP
-      // never places on (so never reads the fingerprint of) the rest.
-      if (n.programmable && occ_.contains(n.id)) {
-        occ_fp_[static_cast<std::size_t>(n.id)] =
-            occupancyFingerprint(occ_.of(n.id));
+    auto fingerprint = [&](int dev) {
+      if (dev < 0 || occ_fp_[static_cast<std::size_t>(dev)] != 0) return;
+      if (topo_.node(dev).programmable && occ_.contains(dev)) {
+        occ_fp_[static_cast<std::size_t>(dev)] =
+            occupancyFingerprint(occ_.of(dev));
+      }
+    };
+    for (const auto& tn : tree_.nodes) {
+      for (int dev : tn.devices) {
+        fingerprint(dev);
+        fingerprint(topo_.node(dev).attached_accel);
       }
     }
   }

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
 #include <set>
 #include <string>
 
@@ -10,6 +11,7 @@
 #include "lang/lower.h"
 #include "lang/optimize.h"
 #include "lang/token.h"
+#include "modules/templates.h"
 #include "util/error.h"
 #include "util/strings.h"
 
@@ -366,6 +368,225 @@ TEST(Lower, FlagChainRebalanced) {
   one.setField("hdr.data.11", 5);
   interp.runAll(p, one);
   EXPECT_EQ(one.field("hdr.flag"), 1u);
+}
+
+// The restart-after-every-rewrite pass the one-pass rebalancer replaced:
+// find the first maximal chain of four or more links, splice its OR tree
+// in, rebuild the def and use tables and scan again from the start.
+bool refIsFlagSelect(const ir::Instruction& ins) {
+  return ins.op == ir::Opcode::kSelect && ins.srcs.size() == 3 &&
+         !ins.hasPred() && ins.srcs[0].isVar() && ins.srcs[1].isConst() &&
+         ins.srcs[2].isNamed() && ins.dest.isVar();
+}
+
+int referenceRebalance(ir::IrProgram* prog) {
+  auto& instrs = prog->instrs;
+  std::map<std::string, int> def_of;
+  std::map<std::string, int> uses;
+  const auto rebuild = [&] {
+    def_of.clear();
+    uses.clear();
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+      if (instrs[i].dest.isVar()) {
+        def_of[instrs[i].dest.name] = static_cast<int>(i);
+      }
+    }
+    for (const auto& ins : instrs) {
+      for (const auto& s : ins.srcs) {
+        if (s.isVar()) ++uses[s.name];
+      }
+      if (ins.pred && ins.pred->isVar()) ++uses[ins.pred->name];
+    }
+  };
+  rebuild();
+  int rewritten = 0;
+  for (std::size_t end = 0; end < instrs.size(); ++end) {
+    if (!refIsFlagSelect(instrs[end])) continue;
+    const std::uint64_t set_value = instrs[end].srcs[1].value;
+    bool is_tail = true;
+    for (std::size_t k = end + 1; k < instrs.size(); ++k) {
+      if (refIsFlagSelect(instrs[k]) && instrs[k].srcs[1].value == set_value &&
+          instrs[k].srcs[2].isVar() &&
+          instrs[k].srcs[2].name == instrs[end].dest.name) {
+        is_tail = false;
+        break;
+      }
+    }
+    if (!is_tail) continue;
+    std::vector<int> chain{static_cast<int>(end)};
+    ir::Operand base = instrs[end].srcs[2];
+    while (base.isVar()) {
+      auto it = def_of.find(base.name);
+      if (it == def_of.end()) break;
+      const auto& prev = instrs[static_cast<std::size_t>(it->second)];
+      if (!refIsFlagSelect(prev) || prev.srcs[1].value != set_value) break;
+      if (uses[prev.dest.name] != 1) break;
+      chain.push_back(it->second);
+      base = prev.srcs[2];
+    }
+    if (chain.size() < 4) continue;
+    std::vector<ir::Operand> layer;
+    for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+      layer.push_back(instrs[static_cast<std::size_t>(*it)].srcs[0]);
+    }
+    std::vector<ir::Instruction> tree;
+    int tmp = 0;
+    const std::string stem = cat(instrs[end].dest.name, "_or");
+    while (layer.size() > 1) {
+      std::vector<ir::Operand> next;
+      for (std::size_t k = 0; k + 1 < layer.size(); k += 2) {
+        ir::Instruction lor(ir::Opcode::kLOr,
+                            ir::Operand::var(cat(stem, tmp++), 1),
+                            {layer[k], layer[k + 1]});
+        lor.owners = instrs[end].owners;
+        next.push_back(lor.dest);
+        tree.push_back(std::move(lor));
+      }
+      if (layer.size() % 2 == 1) next.push_back(layer.back());
+      layer = std::move(next);
+    }
+    ir::Instruction final_sel(ir::Opcode::kSelect, instrs[end].dest,
+                              {layer[0], instrs[end].srcs[1], base});
+    final_sel.owners = instrs[end].owners;
+    tree.push_back(std::move(final_sel));
+    std::set<int> dead(chain.begin(), chain.end());
+    std::vector<ir::Instruction> out;
+    for (std::size_t i = 0; i < instrs.size(); ++i) {
+      if (dead.count(static_cast<int>(i))) {
+        if (i == end) {
+          for (auto& t : tree) out.push_back(std::move(t));
+        }
+        continue;
+      }
+      out.push_back(std::move(instrs[i]));
+    }
+    instrs = std::move(out);
+    ++rewritten;
+    rebuild();
+    end = 0;
+  }
+  return rewritten;
+}
+
+// Random flag-chain instructions over fresh names `<prefix><n>`: several
+// interleaved chains of select(p, c, prev) on fresh compare predicates,
+// from constant, field or var bases. Some links switch the set value,
+// carry a predicate or have a second reader, so chains of every length
+// end early; each chain's last link is written to a field.
+std::vector<ir::Instruction> randomFlagChains(std::uint64_t seed,
+                                              const std::string& prefix) {
+  Rng rng(seed);
+  std::vector<ir::Instruction> out;
+  int next = 0;
+  const auto fresh = [&](int width) {
+    return ir::Operand::var(cat(prefix, next++), width);
+  };
+  const auto field = [&] {
+    return ir::Operand::field(cat("hdr.d", rng.nextBelow(8)), 32);
+  };
+  struct Chain {
+    ir::Operand last;
+    std::uint64_t value = 1;
+    int left = 0;
+  };
+  std::vector<Chain> chains(1 + rng.nextBelow(6));
+  for (auto& ch : chains) {
+    ch.value = 1 + rng.nextBelow(2);
+    ch.left = 1 + static_cast<int>(rng.nextBelow(12));
+    switch (rng.nextBelow(3)) {
+      case 0:
+        ch.last = ir::Operand::constant(0, 8);
+        break;
+      case 1:
+        ch.last = field();
+        break;
+      default:
+        ch.last = fresh(8);
+        out.emplace_back(ir::Opcode::kAdd, ch.last,
+                         std::vector<ir::Operand>{
+                             field(), ir::Operand::constant(1, 8)});
+    }
+  }
+  for (int live = static_cast<int>(chains.size()); live > 0;) {
+    auto& ch = chains[rng.nextBelow(chains.size())];
+    if (ch.left == 0) continue;
+    const auto pred = fresh(1);
+    out.emplace_back(ir::Opcode::kCmpNe, pred,
+                     std::vector<ir::Operand>{field(),
+                                              ir::Operand::constant(0)});
+    if (rng.nextBelow(12) == 0) ch.value = 3 - ch.value;
+    ir::Instruction sel(ir::Opcode::kSelect, fresh(8),
+                        {pred, ir::Operand::constant(ch.value, 8), ch.last});
+    if (rng.nextBelow(15) == 0) sel.pred = pred;
+    sel.owners = {static_cast<int>(rng.nextBelow(3))};
+    ch.last = sel.dest;
+    out.push_back(std::move(sel));
+    if (rng.nextBelow(10) == 0) {
+      out.emplace_back(ir::Opcode::kAdd,
+                       ir::Operand::field(cat("hdr.s", next), 8),
+                       std::vector<ir::Operand>{ch.last,
+                                                ir::Operand::constant(1, 8)});
+    }
+    if (--ch.left == 0) {
+      --live;
+      out.emplace_back(ir::Opcode::kAssign,
+                       ir::Operand::field(cat("hdr.flag", next), 8),
+                       std::vector<ir::Operand>{ch.last});
+    }
+  }
+  return out;
+}
+
+void expectRebalanceMatchesReference(const ir::IrProgram& prog,
+                                     long* rewritten) {
+  auto got = prog;
+  auto want = prog;
+  const int n = rebalanceFlagChains(&got);
+  ASSERT_EQ(n, referenceRebalance(&want));
+  *rewritten += n;
+  ASSERT_EQ(got.instrs.size(), want.instrs.size());
+  for (std::size_t k = 0; k < got.instrs.size(); ++k) {
+    EXPECT_EQ(got.instrs[k].toString(), want.instrs[k].toString())
+        << "instr " << k;
+    EXPECT_EQ(got.instrs[k].owners, want.instrs[k].owners) << "instr " << k;
+  }
+}
+
+TEST(Lower, FlagChainsMatchRestartingReference) {
+  long rewritten = 0;
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE(cat("seed ", seed));
+    ir::IrProgram prog;
+    prog.instrs = randomFlagChains(seed, "v");
+    expectRebalanceMatchesReference(prog, &rewritten);
+  }
+  EXPECT_GT(rewritten, 200);
+
+  // Every template, alone and with random chains interleaved into its
+  // lowered instructions (both keep their own order).
+  modules::ModuleLibrary lib;
+  long template_rewritten = 0;
+  for (const auto& name : lib.names()) {
+    const auto base = lib.compileTemplate(name, "t");
+    for (std::uint64_t seed = 0; seed <= 20; ++seed) {
+      SCOPED_TRACE(cat(name, " seed ", seed));
+      ir::IrProgram prog = base;
+      if (seed > 0) {
+        Rng rng(seed);
+        const auto extra = randomFlagChains(seed, "fc_");
+        prog.instrs.clear();
+        std::size_t a = 0, b = 0;
+        while (a < base.instrs.size() || b < extra.size()) {
+          const bool take_base =
+              b == extra.size() ||
+              (a < base.instrs.size() && rng.nextBelow(2) == 0);
+          prog.instrs.push_back(take_base ? base.instrs[a++] : extra[b++]);
+        }
+      }
+      expectRebalanceMatchesReference(prog, &template_rewritten);
+    }
+  }
+  EXPECT_GT(template_rewritten, 20);
 }
 
 TEST(Lower, ConstantFolding) {

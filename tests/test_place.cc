@@ -11,6 +11,7 @@
 #include "place/smt_baseline.h"
 #include "place/treedp.h"
 #include "topo/ec.h"
+#include "util/bits.h"
 #include "util/strings.h"
 
 namespace clickinc::place {
@@ -457,6 +458,226 @@ TEST(IntraDevice, ExhaustiveMatchesCompactFeasibility) {
   ASSERT_TRUE(exhaustive.feasible);
   // The unpruned search must do strictly more work.
   EXPECT_GT(exhaustive.steps, compact.steps);
+}
+
+// Reference for placeCompact on pipeline devices: the set-based search it
+// replaced. Every stage probe copies the (stage, state) site set and
+// re-derives each group member's demand through it; placeCompact computes
+// the group's stage-independent demand once and keeps flat tables instead.
+bool refIsStatefulClass(ir::InstrClass c) {
+  return c == ir::InstrClass::kBSO || c == ir::InstrClass::kBSEM ||
+         c == ir::InstrClass::kBSNEM;
+}
+
+bool refIsTableLookup(const ir::Instruction& ins) {
+  switch (ins.cls()) {
+    case ir::InstrClass::kBEM:
+    case ir::InstrClass::kBSEM:
+    case ir::InstrClass::kBNEM:
+    case ir::InstrClass::kBSNEM:
+    case ir::InstrClass::kBDM:
+      return true;
+    default:
+      return false;
+  }
+}
+
+device::ResourceDemand refSiteDemand(const ir::IrProgram& prog,
+                                     const ir::Instruction& ins,
+                                     const device::DeviceModel& model,
+                                     std::set<std::pair<int, int>>* seen,
+                                     int stage) {
+  device::ResourceDemand d = device::instrDemand(ins);
+  if (ins.state_id >= 0) {
+    if (seen->insert(std::make_pair(stage, ins.state_id)).second) {
+      device::ResourceDemand st = device::stateDemand(
+          prog.states[static_cast<std::size_t>(ins.state_id)]);
+      st.sram_bits = ceilDiv(st.sram_bits, model.sram_block_bits) *
+                     model.sram_block_bits;
+      if (st.tcam_bits > 0) {
+        st.tcam_bits = ceilDiv(st.tcam_bits, model.tcam_block_bits) *
+                       model.tcam_block_bits;
+      }
+      d.add(st);
+    } else if (refIsStatefulClass(ins.cls())) {
+      d.salus = 0;
+      d.tables = 0;
+      d.hash_units = 0;
+    }
+  }
+  return d;
+}
+
+IntraPlacement referenceCompact(const DeviceOccupancy& occ,
+                                const ir::IrProgram& prog,
+                                const std::vector<int>& instrs, int min_stage,
+                                const ir::Analysis& analysis) {
+  IntraPlacement out;
+  out.instr_idxs = instrs;
+  if (instrs.empty()) {
+    out.feasible = true;
+    return out;
+  }
+  for (int i : instrs) {
+    if (!occ.model->supportsOpcode(
+            prog.instrs[static_cast<std::size_t>(i)].op)) {
+      out.why = cat("unsupported opcode ",
+                    ir::opcodeName(prog.instrs[static_cast<std::size_t>(i)].op));
+      return out;
+    }
+  }
+  const ir::DepGraph& dep = analysis.dep;
+  const int num_stages = occ.model->num_stages;
+  std::vector<device::ResourceDemand> free = occ.free_stage;
+  std::map<int, int> stage_by_instr;
+  std::set<std::pair<int, int>> state_sites;
+  out.stage_of.assign(instrs.size(), -1);
+  std::map<int, std::vector<std::size_t>> group_of_state;
+  for (std::size_t k = 0; k < instrs.size(); ++k) {
+    const auto& ins = prog.instrs[static_cast<std::size_t>(instrs[k])];
+    if (ins.state_id >= 0) group_of_state[ins.state_id].push_back(k);
+  }
+  auto earliestFor = [&](int i) {
+    int earliest = min_stage;
+    const auto& ins = prog.instrs[static_cast<std::size_t>(i)];
+    for (int j : dep.deps[static_cast<std::size_t>(i)]) {
+      auto it = stage_by_instr.find(j);
+      if (it == stage_by_instr.end()) continue;
+      if (analysis.sameScc(i, j)) continue;
+      const auto& producer = prog.instrs[static_cast<std::size_t>(j)];
+      const bool fused = refIsTableLookup(producer) && !refIsTableLookup(ins);
+      earliest = std::max(earliest, it->second + (fused ? 0 : 1));
+    }
+    return earliest;
+  };
+  std::vector<bool> done(instrs.size(), false);
+  for (std::size_t k = 0; k < instrs.size(); ++k) {
+    if (done[k]) continue;
+    const int i = instrs[k];
+    const auto& ins = prog.instrs[static_cast<std::size_t>(i)];
+    ++out.steps;
+    std::vector<std::size_t> members = {k};
+    if (ins.state_id >= 0) members = group_of_state.at(ins.state_id);
+    int earliest = min_stage;
+    for (std::size_t mk : members) {
+      earliest = std::max(earliest, earliestFor(instrs[mk]));
+    }
+    int placed_stage = -1;
+    for (int s = earliest; s < num_stages; ++s) {
+      ++out.steps;
+      std::set<std::pair<int, int>> probe = state_sites;
+      device::ResourceDemand combined;
+      for (std::size_t mk : members) {
+        combined.add(refSiteDemand(
+            prog, prog.instrs[static_cast<std::size_t>(instrs[mk])],
+            *occ.model, &probe, s));
+      }
+      auto& budget = free[static_cast<std::size_t>(s)];
+      if (combined.fitsWithin(budget)) {
+        budget.salus -= combined.salus;
+        budget.alus -= combined.alus;
+        budget.hash_units -= combined.hash_units;
+        budget.tables -= combined.tables;
+        budget.gateways -= combined.gateways;
+        budget.special_fns -= combined.special_fns;
+        budget.sram_bits -= combined.sram_bits;
+        budget.tcam_bits -= combined.tcam_bits;
+        budget.micro_instrs -= combined.micro_instrs;
+        budget.dsps -= combined.dsps;
+        budget.luts -= combined.luts;
+        budget.ffs -= combined.ffs;
+        state_sites = std::move(probe);
+        placed_stage = s;
+        break;
+      }
+    }
+    if (placed_stage < 0) {
+      out.why = cat("no stage fits instr #", i, " (", ins.toString(),
+                    ") earliest=", earliest);
+      return out;
+    }
+    for (std::size_t mk : members) {
+      stage_by_instr[instrs[mk]] = placed_stage;
+      out.stage_of[mk] = placed_stage;
+      done[mk] = true;
+    }
+  }
+  out.feasible = true;
+  int lo = num_stages, hi = -1;
+  for (int s : out.stage_of) {
+    lo = std::min(lo, s);
+    hi = std::max(hi, s);
+  }
+  out.stages_used = hi - lo + 1;
+  out.total = device::demandOfInstrs(prog, instrs);
+  return out;
+}
+
+// Commits the longest block prefix of `tenant` that fits, so the device
+// under test is partly filled by someone else.
+void commitOtherTenant(DeviceOccupancy& occ, const ir::IrProgram& tenant) {
+  const auto dag = BlockDag::build(tenant);
+  for (int j = dag.size(); j > 0; --j) {
+    const auto p = placeCompact(occ, tenant, dag.instrsOf(0, j));
+    if (p.feasible) {
+      commitPlacement(occ, tenant, p);
+      return;
+    }
+  }
+}
+
+TEST(IntraDevice, CompactMatchesSetBasedReference) {
+  const auto progs = parityPrograms();
+  const std::vector<device::DeviceModel> models = {
+      device::makeTofino(), device::makeTofino2(), device::makeTrident4()};
+  long feasible = 0, infeasible = 0, shared_groups = 0;
+  for (std::size_t p = 0; p < progs.size(); ++p) {
+    const auto& prog = progs[p];
+    const auto dag = BlockDag::build(prog);
+    for (const auto& model : models) {
+      // Fresh, then after one and two other tenants committed.
+      std::vector<DeviceOccupancy> occs = {DeviceOccupancy::fresh(model)};
+      for (std::size_t other : {p + 1, p + 2}) {
+        DeviceOccupancy occ = occs.back();
+        commitOtherTenant(occ, progs[other % progs.size()]);
+        occs.push_back(std::move(occ));
+      }
+      for (std::size_t o = 0; o < occs.size(); ++o) {
+        for (int min_stage : {0, 3}) {
+          for (int i = 0; i < dag.size(); ++i) {
+            for (int j = i + 1; j <= dag.size(); ++j) {
+              SCOPED_TRACE(cat(prog.name, " on ", model.name, " tenants=", o,
+                               " min_stage=", min_stage, " [", i, ", ", j,
+                               ")"));
+              const auto instrs = dag.instrsOf(i, j);
+              const auto got = placeCompact(occs[o], prog, instrs, min_stage,
+                                            &dag.analysis());
+              const auto want = referenceCompact(occs[o], prog, instrs,
+                                                 min_stage, dag.analysis());
+              ASSERT_EQ(got.feasible, want.feasible);
+              EXPECT_EQ(got.why, want.why);
+              EXPECT_EQ(got.instr_idxs, want.instr_idxs);
+              EXPECT_EQ(got.stage_of, want.stage_of);
+              EXPECT_EQ(got.stages_used, want.stages_used);
+              EXPECT_TRUE(got.total == want.total);
+              ASSERT_EQ(got.steps, want.steps);
+              ++(got.feasible ? feasible : infeasible);
+              std::map<int, int> touches;
+              for (int idx : instrs) {
+                const int sid = prog.instrs[static_cast<std::size_t>(idx)]
+                                    .state_id;
+                if (sid >= 0 && ++touches[sid] == 2) ++shared_groups;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // Both outcomes occur, and many probed ranges hold multi-touch states.
+  EXPECT_GT(feasible, 1000);
+  EXPECT_GT(infeasible, 1000);
+  EXPECT_GT(shared_groups, 1000);
 }
 
 // --- tree DP ---
