@@ -920,14 +920,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
     auto disturb = last_disturb_.find(key);
     if (window > 0 && disturb != last_disturb_.end() &&
         ev.version - disturb->second <= window) {
-      durable::DeferredHeal dh;
-      dh.kind = ev.kind;
-      dh.node = ev.node;
-      dh.link_a = ev.link_a;
-      dh.link_b = ev.link_b;
-      dh.from = ev.from;
-      dh.version = ev.version;
-      deferred_heals_[key] = dh;
+      deferred_heals_[key] = ev;
       ++report.damped_events;
       // Reboot hygiene is never deferred: the device came back empty, so
       // stale claims/programs/state must go now even though the upgrade
@@ -951,15 +944,7 @@ FailoverReport ClickIncService::handleEventsLocked() {
     const std::uint64_t base =
         disturb == last_disturb_.end() ? 0 : disturb->second;
     if (now_v - base > window) {
-      topo::FailureEvent ev;
-      ev.kind = it->second.kind;
-      ev.node = it->second.node;
-      ev.link_a = it->second.link_a;
-      ev.link_b = it->second.link_b;
-      ev.from = it->second.from;
-      ev.to = topo::Health::kUp;
-      ev.version = it->second.version;
-      acted.push_back({ev, true});
+      acted.push_back({it->second, true});
       it = deferred_heals_.erase(it);
     } else {
       ++it;

@@ -6,18 +6,6 @@ using ir::ClassMask;
 using ir::classBit;
 using ir::InstrClass;
 
-const char* chipKindName(ChipKind k) {
-  switch (k) {
-    case ChipKind::kTofino: return "Tofino";
-    case ChipKind::kTofino2: return "Tofino2";
-    case ChipKind::kTrident4: return "Trident4";
-    case ChipKind::kNfp: return "NFP";
-    case ChipKind::kFpga: return "FPGA";
-    case ChipKind::kFpgaNic: return "FPGA-NIC";
-  }
-  return "?";
-}
-
 ClassMask allClasses() {
   ClassMask m = 0;
   for (int i = 0; i < ir::kNumInstrClasses; ++i) {

@@ -29,8 +29,6 @@ enum class ChipKind : std::uint8_t {
   kFpgaNic,   // Xilinx SN1000-class FPGA smartNIC
 };
 
-const char* chipKindName(ChipKind k);
-
 // Per-stage budget of a pipeline device (Appendix E.1/E.2 resources,
 // condensed to the quantities the constraints actually bound).
 struct StageResources {

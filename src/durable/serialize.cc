@@ -1,395 +1,356 @@
 #include "durable/serialize.h"
 
 #include <algorithm>
+#include <optional>
 
+#include "durable/wire.h"
 #include "util/crc.h"
 
 namespace clickinc::durable {
 
 namespace {
 
-// --- IR pieces ----------------------------------------------------------
+// The wire format is one `fields(a, x)` list per type, naming x's fields in
+// wire order. Enc walks a list writing through BinWriter and Dec walks the
+// same list reading through BinReader, so the encoder and the decoder cannot
+// disagree. Both take x by non-const reference; Enc never writes to it.
+//
+// Every repeated field carries the minimum encoded size of one element, so
+// BinReader::count rejects a corrupt count before a container is sized.
 
-void writeOperand(BinWriter& w, const ir::Operand& o) {
-  w.u8(static_cast<std::uint8_t>(o.kind));
-  w.str(o.name);
-  w.u64(o.value);
-  w.i32(o.width);
+// Writes an enum (or any integer) at the fixed width `Wire`. Decoding casts
+// the wire value back unchecked; range checks belong to the reader of the
+// decoded record (the service's restore path), except for Operand::kind.
+template <class Wire, class A, class T>
+void fixed(A& a, T& v) {
+  Wire wire = static_cast<Wire>(v);
+  a(wire);
+  if constexpr (A::kDecoding) v = static_cast<T>(wire);
 }
 
-ir::Operand readOperand(BinReader& r) {
-  ir::Operand o;
-  const std::uint8_t kind = r.u8();
+template <class A, class T>
+void vec(A& a, std::vector<T>& v, std::size_t min_elem) {
+  const std::uint32_t n = a.count(v.size(), min_elem);
+  if constexpr (A::kDecoding) v.resize(n);
+  for (auto& x : v) a(x);
+}
+
+template <class A, class T>
+void opt(A& a, std::optional<T>& o) {
+  bool has = o.has_value();
+  a(has);
+  if constexpr (A::kDecoding) {
+    if (has) o.emplace();
+  }
+  if (has) a(*o);
+}
+
+// Which entry a decoded map keeps when a crafted payload repeats a key.
+enum class OnDup { kKeepFirst, kKeepLast };
+
+template <class A, class K, class V, class Value>
+void mapOf(A& a, std::map<K, V>& m, std::size_t min_elem, OnDup dup,
+           Value value) {
+  const std::uint32_t n = a.count(m.size(), min_elem);
+  if constexpr (A::kDecoding) {
+    for (std::uint32_t i = 0; i < n; ++i) {
+      K key{};
+      a(key);
+      V v{};
+      value(v);
+      if (dup == OnDup::kKeepLast) {
+        m.insert_or_assign(key, std::move(v));
+      } else {
+        m.emplace(key, std::move(v));
+      }
+    }
+  } else {
+    for (auto& [k, v] : m) {
+      K key = k;
+      a(key);
+      value(v);
+    }
+  }
+}
+
+template <class A, class K, class V>
+void mapOf(A& a, std::map<K, V>& m, std::size_t min_elem, OnDup dup) {
+  mapOf(a, m, min_elem, dup, [&a](V& v) { a(v); });
+}
+
+// --- IR -----------------------------------------------------------------
+
+template <class A>
+void fields(A& a, ir::Operand& o) {
+  fixed<std::uint8_t>(a, o.kind);
   // Untrusted bytes: a kind past kField would read as a variable to the
   // compiled engine and as 0 to the reference interpreter.
-  if (kind > static_cast<std::uint8_t>(ir::OperandKind::kField)) {
-    throw Error("durable: operand kind " + std::to_string(kind) +
-                " out of range");
+  if constexpr (A::kDecoding) {
+    if (o.kind > ir::OperandKind::kField) {
+      throw Error("durable: operand kind " +
+                  std::to_string(static_cast<int>(o.kind)) + " out of range");
+    }
   }
-  o.kind = static_cast<ir::OperandKind>(kind);
-  o.name = r.str();
-  o.value = r.u64();
-  o.width = r.i32();
-  return o;
+  a(o.name, o.value, o.width);
 }
 
-void writeIntVec(BinWriter& w, const std::vector<int>& v) {
-  w.u32(static_cast<std::uint32_t>(v.size()));
-  for (int x : v) w.i32(x);
+template <class A>
+void fields(A& a, ir::Instruction& ins) {
+  fixed<std::uint16_t>(a, ins.op);
+  a(ins.dest, ins.dest2);
+  vec(a, ins.srcs, 17);
+  opt(a, ins.pred);
+  a(ins.pred_negate, ins.state_id);
+  vec(a, ins.owners, 4);
+  a(ins.step);
 }
 
-std::vector<int> readIntVec(BinReader& r) {
-  const std::uint32_t n = r.count(4);
-  std::vector<int> v;
-  v.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) v.push_back(r.i32());
-  return v;
+template <class A>
+void fields(A& a, ir::StateObject& st) {
+  a(st.id, st.name);
+  fixed<std::uint8_t>(a, st.kind);
+  a(st.stateful, st.depth, st.key_width, st.value_width);
+  vec(a, st.owners, 4);
 }
 
-void writeInstruction(BinWriter& w, const ir::Instruction& ins) {
-  w.u16(static_cast<std::uint16_t>(ins.op));
-  writeOperand(w, ins.dest);
-  writeOperand(w, ins.dest2);
-  w.u32(static_cast<std::uint32_t>(ins.srcs.size()));
-  for (const auto& s : ins.srcs) writeOperand(w, s);
-  w.boolean(ins.pred.has_value());
-  if (ins.pred.has_value()) writeOperand(w, *ins.pred);
-  w.boolean(ins.pred_negate);
-  w.i32(ins.state_id);
-  writeIntVec(w, ins.owners);
-  w.i32(ins.step);
+template <class A>
+void fields(A& a, ir::HeaderField& f) {
+  a(f.name, f.width);
 }
 
-ir::Instruction readInstruction(BinReader& r) {
-  ir::Instruction ins;
-  ins.op = static_cast<ir::Opcode>(r.u16());
-  ins.dest = readOperand(r);
-  ins.dest2 = readOperand(r);
-  const std::uint32_t n = r.count(17);
-  ins.srcs.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) ins.srcs.push_back(readOperand(r));
-  if (r.boolean()) ins.pred = readOperand(r);
-  ins.pred_negate = r.boolean();
-  ins.state_id = r.i32();
-  ins.owners = readIntVec(r);
-  ins.step = r.i32();
-  return ins;
+template <class A>
+void fields(A& a, ir::IrProgram& prog) {
+  a(prog.name);
+  vec(a, prog.fields, 8);
+  vec(a, prog.states, 16);
+  vec(a, prog.instrs, 32);
 }
 
-void writeState(BinWriter& w, const ir::StateObject& st) {
-  w.i32(st.id);
-  w.str(st.name);
-  w.u8(static_cast<std::uint8_t>(st.kind));
-  w.boolean(st.stateful);
-  w.u64(st.depth);
-  w.i32(st.key_width);
-  w.i32(st.value_width);
-  writeIntVec(w, st.owners);
+// --- placement ----------------------------------------------------------
+
+template <class A>
+void fields(A& a, device::ResourceDemand& d) {
+  a(d.salus, d.alus, d.hash_units, d.tables, d.gateways, d.special_fns,
+    d.sram_bits, d.tcam_bits, d.micro_instrs, d.dsps, d.luts, d.ffs);
 }
 
-ir::StateObject readState(BinReader& r) {
-  ir::StateObject st;
-  st.id = r.i32();
-  st.name = r.str();
-  st.kind = static_cast<ir::StateKind>(r.u8());
-  st.stateful = r.boolean();
-  st.depth = r.u64();
-  st.key_width = r.i32();
-  st.value_width = r.i32();
-  st.owners = readIntVec(r);
-  return st;
+// steps is a search diagnostic (memo hits report 0), not semantics.
+template <class A>
+void fields(A& a, place::IntraPlacement& p) {
+  a(p.feasible, p.why);
+  vec(a, p.instr_idxs, 4);
+  vec(a, p.stage_of, 4);
+  a(p.stages_used, p.total);
 }
 
-// --- placement pieces ---------------------------------------------------
-
-void writeIntra(BinWriter& w, const place::IntraPlacement& p) {
-  w.boolean(p.feasible);
-  w.str(p.why);
-  writeIntVec(w, p.instr_idxs);
-  writeIntVec(w, p.stage_of);
-  w.i32(p.stages_used);
-  writeDemand(w, p.total);
-  // steps is a search diagnostic (memo hits report 0), not semantics.
+template <class A>
+void fields(A& a, place::NodeAssignment& n) {
+  a(n.tree_node, n.from_block, n.to_block, n.bypass_from);
+  mapOf(a, n.on_device, 8, OnDup::kKeepFirst);
+  mapOf(a, n.on_bypass, 8, OnDup::kKeepFirst);
 }
 
-place::IntraPlacement readIntra(BinReader& r) {
-  place::IntraPlacement p;
-  p.feasible = r.boolean();
-  p.why = r.str();
-  p.instr_idxs = readIntVec(r);
-  p.stage_of = readIntVec(r);
-  p.stages_used = r.i32();
-  p.total = readDemand(r);
-  return p;
+template <class A>
+void fields(A& a, place::Weights& w) {
+  a(w.wt, w.wr, w.wp);
 }
 
-void writeIntraMap(BinWriter& w,
-                   const std::map<int, place::IntraPlacement>& m) {
-  w.u32(static_cast<std::uint32_t>(m.size()));
-  for (const auto& [dev, p] : m) {
-    w.i32(dev);
-    writeIntra(w, p);
+// steps, elapsed_ms and stats are run diagnostics, not plan semantics:
+// steps varies with placement-arena memo warmth even when the chosen plan
+// is identical, and fingerprints must not.
+template <class A>
+void fields(A& a, place::PlacementPlan& plan) {
+  a(plan.feasible, plan.failure, plan.resource_limited);
+  vec(a, plan.assignments, 16);
+  a(plan.gain, plan.ht, plan.hr, plan.hp, plan.weights_used);
+}
+
+template <class A>
+void fields(A& a, topo::TrafficSource& s) {
+  a(s.host, s.volume);
+}
+
+template <class A>
+void fields(A& a, topo::TrafficSpec& spec) {
+  vec(a, spec.sources, 12);
+  a(spec.dst_host);
+}
+
+// `pool` and `ratio_devices` are borrowed pointers and are not serialized;
+// a decoded PlacementOptions has them null.
+template <class A>
+void fields(A& a, place::PlacementOptions& opts) {
+  a(opts.weights, opts.adaptive, opts.prune, opts.fast);
+  fixed<std::int64_t>(a, opts.max_steps);
+}
+
+// --- health -------------------------------------------------------------
+
+template <class A>
+void fields(A& a, topo::FailureEvent& ev) {
+  a(ev.version);
+  fixed<std::uint8_t>(a, ev.kind);
+  a(ev.node, ev.link_a, ev.link_b);
+  fixed<std::uint8_t>(a, ev.from);
+  fixed<std::uint8_t>(a, ev.to);
+}
+
+// A checkpointed deferred heal: its own entry order, and no `to` (every
+// deferred event is a heal, so a decoded one keeps the default kUp).
+template <class A>
+void deferredFields(A& a, DeferredHeal& d) {
+  fixed<std::uint8_t>(a, d.kind);
+  a(d.node, d.link_a, d.link_b);
+  fixed<std::uint8_t>(a, d.from);
+  a(d.version);
+}
+
+// --- records ------------------------------------------------------------
+
+template <class A>
+void fields(A& a, CommitRecord& rec) {
+  a(rec.user, rec.prog, rec.plan, rec.traffic, rec.options);
+}
+
+template <class A>
+void fields(A& a, AbortRecord& rec) {
+  a(rec.user);
+}
+
+template <class A>
+void fields(A& a, RemoveRecord& rec) {
+  a(rec.user, rec.lazy);
+}
+
+template <class A>
+void fields(A& a, HealthRecord& rec) {
+  a(rec.event);
+}
+
+template <class A>
+void fields(A& a, FailoverRecord& rec) {
+  a(rec.processed_version, rec.damped_events, rec.tenants);
+}
+
+template <class A>
+void fields(A& a, MigrateRecord& rec) {
+  a(rec.user, rec.plan, rec.old_plan_fp);
+}
+
+template <class A>
+void fields(A& a, MigrateAbortRecord& rec) {
+  a(rec.user, rec.plan);
+}
+
+template <class A>
+void fields(A& a, CheckpointTenant& t) {
+  a(t.user, t.prog, t.plan, t.traffic, t.options, t.plan_fp);
+}
+
+template <class A>
+void fields(A& a, CheckpointDevice& d) {
+  a(d.node);
+  vec(a, d.free_stage, 8);
+  a(d.free_whole);
+}
+
+template <class A>
+void fields(A& a, CheckpointRecord& rec) {
+  a(rec.next_user, rec.health_version, rec.processed_health_version);
+  vec(a, rec.node_health, 1);
+  vec(a, rec.link_health, 1);
+  vec(a, rec.devices, 8);
+  vec(a, rec.tenants, 8);
+  mapOf(a, rec.deferred_heals, 16, OnDup::kKeepFirst,
+        [&a](DeferredHeal& d) { deferredFields(a, d); });
+  mapOf(a, rec.last_disturb, 16, OnDup::kKeepLast);
+}
+
+// --- the two archives ---------------------------------------------------
+
+// `a(x, y, ...)` visits each argument in order: a primitive goes straight
+// to the wire, anything else through its own `fields` list.
+struct Enc {
+  static constexpr bool kDecoding = false;
+  BinWriter w;
+
+  template <class... T>
+  void operator()(T&... v) {
+    (one(v), ...);
   }
-}
-
-std::map<int, place::IntraPlacement> readIntraMap(BinReader& r) {
-  std::map<int, place::IntraPlacement> m;
-  const std::uint32_t n = r.count(8);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const int dev = r.i32();
-    m.emplace(dev, readIntra(r));
+  std::uint32_t count(std::size_t n, std::size_t /*min_elem*/) {
+    w.u32(static_cast<std::uint32_t>(n));
+    return static_cast<std::uint32_t>(n);
   }
-  return m;
-}
 
-void writeTenant(BinWriter& w, const CheckpointTenant& t) {
-  w.i32(t.user);
-  writeProgram(w, t.prog);
-  writePlan(w, t.plan);
-  writeTraffic(w, t.traffic);
-  writeOptions(w, t.options);
-  w.u64(t.plan_fp);
-}
-
-CheckpointTenant readTenant(BinReader& r) {
-  CheckpointTenant t;
-  t.user = r.i32();
-  t.prog = readProgram(r);
-  t.plan = readPlan(r);
-  t.traffic = readTraffic(r);
-  t.options = readOptions(r);
-  t.plan_fp = r.u64();
-  return t;
-}
-
-void writeDeferred(BinWriter& w,
-                   const std::map<std::uint64_t, DeferredHeal>& m) {
-  w.u32(static_cast<std::uint32_t>(m.size()));
-  for (const auto& [key, d] : m) {
-    w.u64(key);
-    w.u8(static_cast<std::uint8_t>(d.kind));
-    w.i32(d.node);
-    w.i32(d.link_a);
-    w.i32(d.link_b);
-    w.u8(static_cast<std::uint8_t>(d.from));
-    w.u64(d.version);
+ private:
+  void one(bool& v) { w.boolean(v); }
+  void one(std::uint8_t& v) { w.u8(v); }
+  void one(std::uint16_t& v) { w.u16(v); }
+  void one(std::int32_t& v) { w.i32(v); }
+  void one(std::uint32_t& v) { w.u32(v); }
+  void one(std::int64_t& v) { w.i64(v); }
+  void one(std::uint64_t& v) { w.u64(v); }
+  void one(double& v) { w.f64(v); }
+  void one(std::string& v) { w.str(v); }
+  template <class T>
+  void one(T& v) {
+    fields(*this, v);
   }
+};
+
+struct Dec {
+  static constexpr bool kDecoding = true;
+  BinReader r;
+
+  template <class... T>
+  void operator()(T&... v) {
+    (one(v), ...);
+  }
+  std::uint32_t count(std::size_t /*n*/, std::size_t min_elem) {
+    return r.count(min_elem);
+  }
+
+ private:
+  void one(bool& v) { v = r.boolean(); }
+  void one(std::uint8_t& v) { v = r.u8(); }
+  void one(std::uint16_t& v) { v = r.u16(); }
+  void one(std::int32_t& v) { v = r.i32(); }
+  void one(std::uint32_t& v) { v = r.u32(); }
+  void one(std::int64_t& v) { v = r.i64(); }
+  void one(std::uint64_t& v) { v = r.u64(); }
+  void one(double& v) { v = r.f64(); }
+  void one(std::string& v) { v = r.str(); }
+  template <class T>
+  void one(T& v) {
+    fields(*this, v);
+  }
+};
+
+using Bytes = std::vector<std::uint8_t>;
+using Payload = std::span<const std::uint8_t>;
+
+template <class T>
+Bytes encode(const T& x) {
+  Enc enc;
+  enc(const_cast<T&>(x));
+  return enc.w.take();
 }
 
-std::map<std::uint64_t, DeferredHeal> readDeferred(BinReader& r) {
-  std::map<std::uint64_t, DeferredHeal> m;
-  const std::uint32_t n = r.count(16);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const std::uint64_t key = r.u64();
-    DeferredHeal d;
-    d.kind = static_cast<topo::FailureEvent::Kind>(r.u8());
-    d.node = r.i32();
-    d.link_a = r.i32();
-    d.link_b = r.i32();
-    d.from = static_cast<topo::Health>(r.u8());
-    d.version = r.u64();
-    m.emplace(key, d);
-  }
-  return m;
+// Trailing bytes past the last field are ignored.
+template <class T>
+T decode(Payload payload) {
+  Dec dec{BinReader(payload)};
+  T x;
+  dec(x);
+  return x;
 }
 
 }  // namespace
 
-// --- public round-trips -------------------------------------------------
-
-void writeProgram(BinWriter& w, const ir::IrProgram& prog) {
-  w.str(prog.name);
-  w.u32(static_cast<std::uint32_t>(prog.fields.size()));
-  for (const auto& f : prog.fields) {
-    w.str(f.name);
-    w.i32(f.width);
-  }
-  w.u32(static_cast<std::uint32_t>(prog.states.size()));
-  for (const auto& st : prog.states) writeState(w, st);
-  w.u32(static_cast<std::uint32_t>(prog.instrs.size()));
-  for (const auto& ins : prog.instrs) writeInstruction(w, ins);
-}
-
-ir::IrProgram readProgram(BinReader& r) {
-  ir::IrProgram prog;
-  prog.name = r.str();
-  const std::uint32_t nf = r.count(8);
-  prog.fields.reserve(nf);
-  for (std::uint32_t i = 0; i < nf; ++i) {
-    ir::HeaderField f;
-    f.name = r.str();
-    f.width = r.i32();
-    prog.fields.push_back(std::move(f));
-  }
-  const std::uint32_t ns = r.count(16);
-  prog.states.reserve(ns);
-  for (std::uint32_t i = 0; i < ns; ++i) prog.states.push_back(readState(r));
-  const std::uint32_t ni = r.count(32);
-  prog.instrs.reserve(ni);
-  for (std::uint32_t i = 0; i < ni; ++i) {
-    prog.instrs.push_back(readInstruction(r));
-  }
-  return prog;
-}
-
-void writeDemand(BinWriter& w, const device::ResourceDemand& d) {
-  w.i32(d.salus);
-  w.i32(d.alus);
-  w.i32(d.hash_units);
-  w.i32(d.tables);
-  w.i32(d.gateways);
-  w.i32(d.special_fns);
-  w.u64(d.sram_bits);
-  w.u64(d.tcam_bits);
-  w.i32(d.micro_instrs);
-  w.i32(d.dsps);
-  w.u64(d.luts);
-  w.u64(d.ffs);
-}
-
-device::ResourceDemand readDemand(BinReader& r) {
-  device::ResourceDemand d;
-  d.salus = r.i32();
-  d.alus = r.i32();
-  d.hash_units = r.i32();
-  d.tables = r.i32();
-  d.gateways = r.i32();
-  d.special_fns = r.i32();
-  d.sram_bits = r.u64();
-  d.tcam_bits = r.u64();
-  d.micro_instrs = r.i32();
-  d.dsps = r.i32();
-  d.luts = r.u64();
-  d.ffs = r.u64();
-  return d;
-}
-
-void writePlan(BinWriter& w, const place::PlacementPlan& plan) {
-  w.boolean(plan.feasible);
-  w.str(plan.failure);
-  w.boolean(plan.resource_limited);
-  w.u32(static_cast<std::uint32_t>(plan.assignments.size()));
-  for (const auto& a : plan.assignments) {
-    w.i32(a.tree_node);
-    w.i32(a.from_block);
-    w.i32(a.to_block);
-    w.i32(a.bypass_from);
-    writeIntraMap(w, a.on_device);
-    writeIntraMap(w, a.on_bypass);
-  }
-  w.f64(plan.gain);
-  w.f64(plan.ht);
-  w.f64(plan.hr);
-  w.f64(plan.hp);
-  w.f64(plan.weights_used.wt);
-  w.f64(plan.weights_used.wr);
-  w.f64(plan.weights_used.wp);
-  // steps, elapsed_ms and stats are run diagnostics, not plan semantics:
-  // steps varies with placement-arena memo warmth even when the chosen
-  // plan is identical, and fingerprints must not.
-}
-
-place::PlacementPlan readPlan(BinReader& r) {
-  place::PlacementPlan plan;
-  plan.feasible = r.boolean();
-  plan.failure = r.str();
-  plan.resource_limited = r.boolean();
-  const std::uint32_t n = r.count(16);
-  plan.assignments.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    place::NodeAssignment a;
-    a.tree_node = r.i32();
-    a.from_block = r.i32();
-    a.to_block = r.i32();
-    a.bypass_from = r.i32();
-    a.on_device = readIntraMap(r);
-    a.on_bypass = readIntraMap(r);
-    plan.assignments.push_back(std::move(a));
-  }
-  plan.gain = r.f64();
-  plan.ht = r.f64();
-  plan.hr = r.f64();
-  plan.hp = r.f64();
-  plan.weights_used.wt = r.f64();
-  plan.weights_used.wr = r.f64();
-  plan.weights_used.wp = r.f64();
-  return plan;
-}
-
-void writeTraffic(BinWriter& w, const topo::TrafficSpec& spec) {
-  w.u32(static_cast<std::uint32_t>(spec.sources.size()));
-  for (const auto& s : spec.sources) {
-    w.i32(s.host);
-    w.f64(s.volume);
-  }
-  w.i32(spec.dst_host);
-}
-
-topo::TrafficSpec readTraffic(BinReader& r) {
-  topo::TrafficSpec spec;
-  const std::uint32_t n = r.count(12);
-  spec.sources.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    topo::TrafficSource s;
-    s.host = r.i32();
-    s.volume = r.f64();
-    spec.sources.push_back(s);
-  }
-  spec.dst_host = r.i32();
-  return spec;
-}
-
-void writeOptions(BinWriter& w, const place::PlacementOptions& opts) {
-  w.f64(opts.weights.wt);
-  w.f64(opts.weights.wr);
-  w.f64(opts.weights.wp);
-  w.boolean(opts.adaptive);
-  w.boolean(opts.prune);
-  w.boolean(opts.fast);
-  w.i64(opts.max_steps);
-}
-
-place::PlacementOptions readOptions(BinReader& r) {
-  place::PlacementOptions opts;
-  opts.weights.wt = r.f64();
-  opts.weights.wr = r.f64();
-  opts.weights.wp = r.f64();
-  opts.adaptive = r.boolean();
-  opts.prune = r.boolean();
-  opts.fast = r.boolean();
-  opts.max_steps = static_cast<long>(r.i64());
-  opts.pool = nullptr;          // borrowed, never serialized
-  opts.ratio_devices = nullptr;
-  return opts;
-}
-
-void writeEvent(BinWriter& w, const topo::FailureEvent& ev) {
-  w.u64(ev.version);
-  w.u8(static_cast<std::uint8_t>(ev.kind));
-  w.i32(ev.node);
-  w.i32(ev.link_a);
-  w.i32(ev.link_b);
-  w.u8(static_cast<std::uint8_t>(ev.from));
-  w.u8(static_cast<std::uint8_t>(ev.to));
-}
-
-topo::FailureEvent readEvent(BinReader& r) {
-  topo::FailureEvent ev;
-  ev.version = r.u64();
-  ev.kind = static_cast<topo::FailureEvent::Kind>(r.u8());
-  ev.node = r.i32();
-  ev.link_a = r.i32();
-  ev.link_b = r.i32();
-  ev.from = static_cast<topo::Health>(r.u8());
-  ev.to = static_cast<topo::Health>(r.u8());
-  return ev;
-}
-
 std::uint64_t planFingerprint(const place::PlacementPlan& plan) {
-  BinWriter w;
-  writePlan(w, plan);
+  const auto bytes = encode(plan);
   std::uint64_t h = 0xC11C'14C0'F1A6'0001ULL;  // fingerprint domain seed
-  const auto& bytes = w.bytes();
   std::size_t i = 0;
   for (; i + 8 <= bytes.size(); i += 8) {
     std::uint64_t chunk = 0;
@@ -419,173 +380,34 @@ std::uint64_t entityKey(const topo::FailureEvent& ev) {
 
 // --- record payloads ----------------------------------------------------
 
-std::vector<std::uint8_t> encodeCommit(const CommitRecord& rec) {
-  BinWriter w;
-  w.i32(rec.user);
-  writeProgram(w, rec.prog);
-  writePlan(w, rec.plan);
-  writeTraffic(w, rec.traffic);
-  writeOptions(w, rec.options);
-  return w.take();
+Bytes encodeCommit(const CommitRecord& rec) { return encode(rec); }
+CommitRecord decodeCommit(Payload p) { return decode<CommitRecord>(p); }
+
+Bytes encodeAbort(const AbortRecord& rec) { return encode(rec); }
+AbortRecord decodeAbort(Payload p) { return decode<AbortRecord>(p); }
+
+Bytes encodeRemove(const RemoveRecord& rec) { return encode(rec); }
+RemoveRecord decodeRemove(Payload p) { return decode<RemoveRecord>(p); }
+
+Bytes encodeHealth(const HealthRecord& rec) { return encode(rec); }
+HealthRecord decodeHealth(Payload p) { return decode<HealthRecord>(p); }
+
+Bytes encodeFailover(const FailoverRecord& rec) { return encode(rec); }
+FailoverRecord decodeFailover(Payload p) {
+  return decode<FailoverRecord>(p);
 }
 
-CommitRecord decodeCommit(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  CommitRecord rec;
-  rec.user = r.i32();
-  rec.prog = readProgram(r);
-  rec.plan = readPlan(r);
-  rec.traffic = readTraffic(r);
-  rec.options = readOptions(r);
-  return rec;
+Bytes encodeMigrate(const MigrateRecord& rec) { return encode(rec); }
+MigrateRecord decodeMigrate(Payload p) { return decode<MigrateRecord>(p); }
+
+Bytes encodeMigrateAbort(const MigrateAbortRecord& rec) { return encode(rec); }
+MigrateAbortRecord decodeMigrateAbort(Payload p) {
+  return decode<MigrateAbortRecord>(p);
 }
 
-std::vector<std::uint8_t> encodeAbort(const AbortRecord& rec) {
-  BinWriter w;
-  w.i32(rec.user);
-  return w.take();
-}
-
-AbortRecord decodeAbort(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  AbortRecord rec;
-  rec.user = r.i32();
-  return rec;
-}
-
-std::vector<std::uint8_t> encodeRemove(const RemoveRecord& rec) {
-  BinWriter w;
-  w.i32(rec.user);
-  w.boolean(rec.lazy);
-  return w.take();
-}
-
-RemoveRecord decodeRemove(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  RemoveRecord rec;
-  rec.user = r.i32();
-  rec.lazy = r.boolean();
-  return rec;
-}
-
-std::vector<std::uint8_t> encodeHealth(const HealthRecord& rec) {
-  BinWriter w;
-  writeEvent(w, rec.event);
-  return w.take();
-}
-
-HealthRecord decodeHealth(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  HealthRecord rec;
-  rec.event = readEvent(r);
-  return rec;
-}
-
-std::vector<std::uint8_t> encodeFailover(const FailoverRecord& rec) {
-  BinWriter w;
-  w.u64(rec.processed_version);
-  w.u32(rec.damped_events);
-  w.u32(rec.tenants);
-  return w.take();
-}
-
-FailoverRecord decodeFailover(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  FailoverRecord rec;
-  rec.processed_version = r.u64();
-  rec.damped_events = r.u32();
-  rec.tenants = r.u32();
-  return rec;
-}
-
-std::vector<std::uint8_t> encodeMigrate(const MigrateRecord& rec) {
-  BinWriter w;
-  w.i32(rec.user);
-  writePlan(w, rec.plan);
-  w.u64(rec.old_plan_fp);
-  return w.take();
-}
-
-MigrateRecord decodeMigrate(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  MigrateRecord rec;
-  rec.user = r.i32();
-  rec.plan = readPlan(r);
-  rec.old_plan_fp = r.u64();
-  return rec;
-}
-
-std::vector<std::uint8_t> encodeMigrateAbort(const MigrateAbortRecord& rec) {
-  BinWriter w;
-  w.i32(rec.user);
-  writePlan(w, rec.plan);
-  return w.take();
-}
-
-MigrateAbortRecord decodeMigrateAbort(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  MigrateAbortRecord rec;
-  rec.user = r.i32();
-  rec.plan = readPlan(r);
-  return rec;
-}
-
-std::vector<std::uint8_t> encodeCheckpoint(const CheckpointRecord& rec) {
-  BinWriter w;
-  w.i32(rec.next_user);
-  w.u64(rec.health_version);
-  w.u64(rec.processed_health_version);
-  w.blob(std::span<const std::uint8_t>(rec.node_health));
-  w.blob(std::span<const std::uint8_t>(rec.link_health));
-  w.u32(static_cast<std::uint32_t>(rec.devices.size()));
-  for (const auto& d : rec.devices) {
-    w.i32(d.node);
-    w.u32(static_cast<std::uint32_t>(d.free_stage.size()));
-    for (const auto& s : d.free_stage) writeDemand(w, s);
-    writeDemand(w, d.free_whole);
-  }
-  w.u32(static_cast<std::uint32_t>(rec.tenants.size()));
-  for (const auto& t : rec.tenants) writeTenant(w, t);
-  writeDeferred(w, rec.deferred_heals);
-  w.u32(static_cast<std::uint32_t>(rec.last_disturb.size()));
-  for (const auto& [key, v] : rec.last_disturb) {
-    w.u64(key);
-    w.u64(v);
-  }
-  return w.take();
-}
-
-CheckpointRecord decodeCheckpoint(std::span<const std::uint8_t> payload) {
-  BinReader r(payload);
-  CheckpointRecord rec;
-  rec.next_user = r.i32();
-  rec.health_version = r.u64();
-  rec.processed_health_version = r.u64();
-  rec.node_health = r.blob();
-  rec.link_health = r.blob();
-  const std::uint32_t nd = r.count(8);
-  rec.devices.reserve(nd);
-  for (std::uint32_t i = 0; i < nd; ++i) {
-    CheckpointDevice d;
-    d.node = r.i32();
-    const std::uint32_t ns = r.count(8);
-    d.free_stage.reserve(ns);
-    for (std::uint32_t s = 0; s < ns; ++s) {
-      d.free_stage.push_back(readDemand(r));
-    }
-    d.free_whole = readDemand(r);
-    rec.devices.push_back(std::move(d));
-  }
-  const std::uint32_t nt = r.count(8);
-  rec.tenants.reserve(nt);
-  for (std::uint32_t i = 0; i < nt; ++i) rec.tenants.push_back(readTenant(r));
-  rec.deferred_heals = readDeferred(r);
-  const std::uint32_t nl = r.count(16);
-  for (std::uint32_t i = 0; i < nl; ++i) {
-    const std::uint64_t key = r.u64();
-    rec.last_disturb[key] = r.u64();
-  }
-  return rec;
+Bytes encodeCheckpoint(const CheckpointRecord& rec) { return encode(rec); }
+CheckpointRecord decodeCheckpoint(Payload p) {
+  return decode<CheckpointRecord>(p);
 }
 
 }  // namespace clickinc::durable

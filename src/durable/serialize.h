@@ -1,10 +1,11 @@
-// Binary round-trips for the durable control-plane core: IR programs,
-// placement plans, traffic specs, occupancy ledgers, and health state —
-// everything `ClickIncService::checkpoint()` snapshots and the journal's
-// record payloads carry (docs/recovery.md).
+// Binary encodings of the durable control-plane core: the journal's record
+// payloads and the checkpoint `ClickIncService::checkpoint()` snapshots
+// (IR programs, placement plans, traffic specs, occupancy ledgers and
+// health state; docs/recovery.md).
 //
 // The encoding is versioned only through the journal magic; field order is
-// the contract. Non-semantic fields (PlacementPlan::elapsed_ms / stats,
+// the contract, and serialize.cc writes it down once per type as a
+// `fields` list. Non-semantic fields (PlacementPlan::elapsed_ms / stats,
 // PlacementOptions::pool) are deliberately excluded, so two plans that
 // deploy identically serialize identically — which is what makes
 // planFingerprint() usable as a cross-restart plan identity.
@@ -15,35 +16,12 @@
 #include <span>
 #include <vector>
 
-#include "durable/wire.h"
 #include "ir/program.h"
 #include "place/treedp.h"
 #include "topo/ec.h"
 #include "topo/topology.h"
 
 namespace clickinc::durable {
-
-// --- type round-trips ---------------------------------------------------
-
-void writeProgram(BinWriter& w, const ir::IrProgram& prog);
-ir::IrProgram readProgram(BinReader& r);
-
-void writeDemand(BinWriter& w, const device::ResourceDemand& d);
-device::ResourceDemand readDemand(BinReader& r);
-
-void writePlan(BinWriter& w, const place::PlacementPlan& plan);
-place::PlacementPlan readPlan(BinReader& r);
-
-void writeTraffic(BinWriter& w, const topo::TrafficSpec& spec);
-topo::TrafficSpec readTraffic(BinReader& r);
-
-// `pool` is a borrowed pointer and is not serialized; readOptions returns
-// it null (the service re-resolves its own pool at deploy time).
-void writeOptions(BinWriter& w, const place::PlacementOptions& opts);
-place::PlacementOptions readOptions(BinReader& r);
-
-void writeEvent(BinWriter& w, const topo::FailureEvent& ev);
-topo::FailureEvent readEvent(BinReader& r);
 
 // Content fingerprint of a plan's semantic fields (chained mix64 over the
 // serialized bytes). Stable across processes; used to cross-check that a
@@ -56,14 +34,9 @@ std::uint64_t planFingerprint(const place::PlacementPlan& plan);
 // already applied to the topology, but the failover response (re-placement
 // / server-only upgrade) waits until the entity stays quiet past the
 // policy window. `from` is the pre-heal state the effective health view
-// masks the entity back to while deferred.
-struct DeferredHeal {
-  topo::FailureEvent::Kind kind = topo::FailureEvent::Kind::kNode;
-  int node = -1;
-  int link_a = -1, link_b = -1;
-  topo::Health from = topo::Health::kDown;
-  std::uint64_t version = 0;  // version of the damped heal event
-};
+// masks the entity back to while deferred; `version` is the damped heal
+// event's. Every deferred event is a heal, so `to` is always kUp.
+using DeferredHeal = topo::FailureEvent;
 
 // Map key of a health entity: node id, or a tagged link index.
 std::uint64_t entityKey(const topo::FailureEvent& ev);

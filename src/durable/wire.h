@@ -34,10 +34,6 @@ class BinWriter {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes_.insert(bytes_.end(), s.begin(), s.end());
   }
-  void blob(std::span<const std::uint8_t> data) {
-    u32(static_cast<std::uint32_t>(data.size()));
-    bytes_.insert(bytes_.end(), data.begin(), data.end());
-  }
 
   const std::vector<std::uint8_t>& bytes() const { return bytes_; }
   std::vector<std::uint8_t> take() { return std::move(bytes_); }
@@ -74,14 +70,6 @@ class BinReader {
     pos_ += n;
     return s;
   }
-  std::vector<std::uint8_t> blob() {
-    const std::uint32_t n = u32();
-    need(n);
-    std::vector<std::uint8_t> v(bytes_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                bytes_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return v;
-  }
 
   // Count prefix of a repeated field. Each element consumes at least
   // min_elem_bytes when encoded, so any count that cannot fit in the
@@ -100,7 +88,6 @@ class BinReader {
   }
 
   std::size_t remaining() const { return bytes_.size() - pos_; }
-  bool done() const { return pos_ == bytes_.size(); }
 
  private:
   void need(std::size_t n) {

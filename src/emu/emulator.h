@@ -108,10 +108,6 @@ struct EmuStats {
   double total_latency_ns = 0;
   double total_inc_latency_ns = 0;
 
-  double avgLatencyNs() const {
-    const auto n = packets_delivered + packets_bounced;
-    return n == 0 ? 0 : total_latency_ns / static_cast<double>(n);
-  }
   double avgIncLatencyNs() const {
     const auto n = packets_sent;
     return n == 0 ? 0 : total_inc_latency_ns / static_cast<double>(n);
@@ -194,7 +190,6 @@ class Emulator {
   // switch interpreter (ir::Interpreter) instead of compiled plans. The
   // equivalence tests cross-check both modes bit-for-bit.
   void setReferenceInterpreter(bool on) { use_reference_ = on; }
-  bool referenceInterpreter() const { return use_reference_; }
 
   ir::ExecPlanCache& planCache() { return *plan_cache_; }
   const ir::ExecPlanCache& planCache() const { return *plan_cache_; }

@@ -214,7 +214,6 @@ class ExecPlan {
   std::span<const DecodedInstr> code() const { return code_; }
   const ExecPlanOptions& options() const { return options_; }
   std::size_t slotCount() const { return slots_.size(); }
-  std::size_t stateCount() const { return states_.size(); }
   const StateObject& stateSpec(int idx) const {
     return states_[static_cast<std::size_t>(idx)];
   }

@@ -20,17 +20,6 @@
 
 namespace clickinc::ir {
 
-const char* verdictName(Verdict v) {
-  switch (v) {
-    case Verdict::kNone: return "none";
-    case Verdict::kForward: return "fwd";
-    case Verdict::kDrop: return "drop";
-    case Verdict::kSendBack: return "back";
-    case Verdict::kMulticast: return "multicast";
-  }
-  return "?";
-}
-
 StateInstance::StateInstance(StateObject spec) : spec_(std::move(spec)) {
   if (spec_.kind == StateKind::kRegister ||
       spec_.kind == StateKind::kDirectTable) {
@@ -122,12 +111,6 @@ bool StateInstance::matchTernary(std::uint64_t key, std::uint64_t* val) const {
     }
   }
   return false;
-}
-
-void StateInstance::clearAll() {
-  std::fill(cells_.begin(), cells_.end(), 0);
-  map_.clear();
-  ternary_.clear();
 }
 
 std::uint64_t StateInstance::entryCount() const {

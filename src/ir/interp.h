@@ -42,8 +42,6 @@ enum class Verdict : std::uint8_t {
   kMulticast,
 };
 
-const char* verdictName(Verdict v);
-
 // The mutable view of one packet as it traverses INC devices. Header
 // fields are a flat name-keyed ValueMap (see valuemap.h); Params are a
 // slot frame indexed by the tenant's ParamLayout, with a name view for
@@ -88,7 +86,6 @@ class StateInstance {
   void insertLpm(std::uint64_t prefix, int prefix_len, std::uint64_t val);
   bool matchTernary(std::uint64_t key, std::uint64_t* val) const;
 
-  void clearAll();
   std::uint64_t entryCount() const;
   const StateObject& spec() const { return spec_; }
 

@@ -104,12 +104,6 @@ void IrProgram::verify() const {
   }
 }
 
-std::uint64_t IrProgram::totalStateBits() const {
-  std::uint64_t total = 0;
-  for (const auto& s : states) total += s.storageBits();
-  return total;
-}
-
 std::string IrProgram::toString() const {
   std::string out = cat("program ", name, " {\n");
   for (const auto& f : fields) out += cat("  field ", f.name, ":", f.width, "\n");

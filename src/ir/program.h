@@ -37,9 +37,6 @@ class IrProgram {
   // InternalError on violation.
   void verify() const;
 
-  // Total stateful storage bits (for resource reports).
-  std::uint64_t totalStateBits() const;
-
   std::string toString() const;
 };
 

@@ -95,13 +95,6 @@ std::vector<int> PlacementPlan::devicesUsed() const {
   return out;
 }
 
-int PlacementPlan::blocksOn(int tree_node) const {
-  for (const auto& a : assignments) {
-    if (a.tree_node == tree_node) return a.to_block - a.from_block;
-  }
-  return 0;
-}
-
 // Grants the placer references to the arena's private scratch buffers
 // without exposing them in the public header.
 class TreePlacerAccess {

@@ -248,7 +248,6 @@ struct PlacementPlan {
 
   // Physical devices hosting at least one block.
   std::vector<int> devicesUsed() const;
-  int blocksOn(int tree_node) const;
 };
 
 // Runs the DP; does not mutate `occ` (call commitPlan to take resources).

@@ -13,7 +13,6 @@ DomainIndex::DomainIndex(const topo::Topology& topo) {
     domain_of_[static_cast<std::size_t>(n.id)] = n.pod >= 0 ? n.pod
                                                             : kCrossDomain;
     if (!n.programmable) continue;
-    all_devices_.push_back(n.id);
     if (n.pod >= 0) devices_[static_cast<std::size_t>(n.pod)].push_back(n.id);
   }
 }

@@ -48,9 +48,6 @@ class DomainIndex {
     return devices_.at(static_cast<std::size_t>(domain));
   }
 
-  // Every programmable device, node-id ascending (pods + core tier).
-  const std::vector<int>& allDevices() const { return all_devices_; }
-
   // The single pod containing every traffic endpoint (all sources and the
   // destination), or kCrossDomain when the spec spans pods, has pod-less
   // endpoints, or there are no pod domains at all.
@@ -59,7 +56,6 @@ class DomainIndex {
  private:
   std::vector<int> domain_of_;            // node id -> pod or kCrossDomain
   std::vector<std::vector<int>> devices_; // per pod, programmable only
-  std::vector<int> all_devices_;
 };
 
 }  // namespace clickinc::scale

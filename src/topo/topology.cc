@@ -9,25 +9,6 @@
 
 namespace clickinc::topo {
 
-const char* nodeKindName(NodeKind k) {
-  switch (k) {
-    case NodeKind::kHost: return "host";
-    case NodeKind::kSwitch: return "switch";
-    case NodeKind::kNic: return "nic";
-    case NodeKind::kAccel: return "accel";
-  }
-  return "?";
-}
-
-const char* healthName(Health h) {
-  switch (h) {
-    case Health::kUp: return "up";
-    case Health::kDraining: return "draining";
-    case Health::kDown: return "down";
-  }
-  return "?";
-}
-
 int Topology::addNode(Node n) {
   n.id = static_cast<int>(nodes_.size());
   nodes_.push_back(std::move(n));

@@ -17,8 +17,6 @@ enum class NodeKind : std::uint8_t {
   kAccel,   // bypass FPGA card attached to a switch
 };
 
-const char* nodeKindName(NodeKind k);
-
 // Health of a node or link in the failure domain. Distinct from the
 // emulator's legacy `setFailed` flag, which models a device whose program
 // snippets are skipped while the element keeps forwarding (§6 replica
@@ -30,8 +28,6 @@ enum class Health : std::uint8_t {
               // not receive new placements (planned maintenance)
   kDown,      // dead: drops traffic; state and claims are lost
 };
-
-const char* healthName(Health h);
 
 // One entry of the monotonically-versioned failure log. `version` is
 // 1-based and strictly increasing; a no-op transition (same health) is not

@@ -1,9 +1,11 @@
 // Durable control plane (docs/recovery.md): journal wire format and torn
 // tails, checkpoint/restore, recover() replay equivalence, compensating
 // aborts, flap damping, epoch fencing of in-flight submissions across
-// 1/2/8-thread pools, and the crash-point recovery fuzzer.
+// 1/2/8-thread pools, the crash-point recovery fuzzer, and pinned wire
+// bytes of every record type.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <future>
 #include <set>
@@ -16,6 +18,7 @@
 #include "place/intradevice.h"
 #include "topo/ec.h"
 #include "topo/topology.h"
+#include "util/crc.h"
 #include "util/error.h"
 #include "util/strings.h"
 #include "verify/recovery_fuzz.h"
@@ -767,6 +770,304 @@ TEST(FlapDamping, InjectorChurnStaysAuditCleanWithAWindow) {
                                  << rep.verify.summary();
   }
   EXPECT_TRUE(svc.verifyDeployments().ok());
+}
+
+// --- wire format pins ------------------------------------------------------
+//
+// Hand-built records of every journal type, each field set to a distinct
+// non-default value. Their bytes are pinned as (size, CRC) pairs, so any
+// change to a field list, a field's width or a count's encoding shows up
+// here before it reaches a journal on disk.
+
+struct Pin {
+  std::size_t size;
+  std::uint32_t crc;
+};
+
+// Recorded from the encoder that predates the field-list codec; the two
+// must agree byte for byte.
+constexpr Pin kPinCommit{804, 0x6385DE97};
+constexpr Pin kPinAbort{4, 0xDB544008};
+constexpr Pin kPinRemove{5, 0xE1621A4F};
+constexpr Pin kPinHealth{23, 0x8BCE19D2};
+constexpr Pin kPinFailover{16, 0x7377D316};
+constexpr Pin kPinMigrate{421, 0xA1634C6F};
+constexpr Pin kPinMigrateAbort{413, 0x15103D94};
+constexpr Pin kPinCheckpoint{1153, 0xB1DEFB9E};
+
+constexpr int kDevA = 0x0D0E'0007;  // on_device keys, unique in the bytes
+constexpr int kDevB = 0x0D0E'0008;
+constexpr std::uint64_t kHealA = 0xDEF0'0000'0000'0001ULL;
+constexpr std::uint64_t kHealB = 0xDEF0'0000'0000'0002ULL;
+constexpr std::uint64_t kDisturbA = 0x1D00'0000'0000'0001ULL;
+constexpr std::uint64_t kDisturbB = 0x1D00'0000'0000'0002ULL;
+
+device::ResourceDemand pinnedDemand(int base) {
+  device::ResourceDemand d;
+  d.salus = base + 1;
+  d.alus = base + 2;
+  d.hash_units = base + 3;
+  d.tables = base + 4;
+  d.gateways = base + 5;
+  d.special_fns = base + 6;
+  d.sram_bits = 0x1'0000'0000ULL + static_cast<std::uint64_t>(base);
+  d.tcam_bits = 0x2'0000'0000ULL + static_cast<std::uint64_t>(base);
+  d.micro_instrs = base + 7;
+  d.dsps = base + 8;
+  d.luts = 0x3'0000'0000ULL + static_cast<std::uint64_t>(base);
+  d.ffs = 0x4'0000'0000ULL + static_cast<std::uint64_t>(base);
+  return d;
+}
+
+ir::IrProgram pinnedProgram() {
+  ir::IrProgram p;
+  p.name = "pinned";
+  p.fields = {{"hdr.key", 13}, {"hdr.val", 40}};
+  ir::StateObject st;
+  st.id = 3;
+  st.name = "cache";
+  st.kind = ir::StateKind::kTernaryTable;
+  st.stateful = false;
+  st.depth = 4097;
+  st.key_width = 24;
+  st.value_width = 40;
+  st.owners = {5, 9};
+  p.states = {st};
+  ir::Instruction guarded;
+  guarded.op = ir::Opcode::kStmtWrite;
+  guarded.dest = ir::Operand::field("hdr.val", 40);
+  guarded.dest2 = ir::Operand::var("hit", 1);
+  guarded.srcs = {ir::Operand::constant(0xABCD'EF01'23ULL, 36),
+                  ir::Operand::field("hdr.key", 13)};
+  guarded.pred = ir::Operand::var("guard", 1);
+  guarded.pred_negate = true;
+  guarded.state_id = 3;
+  guarded.owners = {5, 9};
+  guarded.step = 2;
+  ir::Instruction plain;
+  plain.op = ir::Opcode::kAdd;
+  plain.dest = ir::Operand::var("sum", 16);
+  plain.srcs = {ir::Operand::constant(7, 16), ir::Operand::var("hit", 1)};
+  plain.step = 4;
+  p.instrs = {guarded, plain};
+  return p;
+}
+
+place::IntraPlacement pinnedIntra(int base) {
+  place::IntraPlacement ip;
+  ip.feasible = true;
+  ip.why = cat("why", base);
+  ip.instr_idxs = {base, base + 1};
+  ip.stage_of = {base + 2, base + 3};
+  ip.stages_used = base + 4;
+  ip.total = pinnedDemand(base * 10);
+  ip.steps = 999;  // a search diagnostic, not on the wire
+  return ip;
+}
+
+place::PlacementPlan pinnedPlan() {
+  place::PlacementPlan plan;
+  plan.feasible = true;
+  plan.failure = "none";
+  plan.resource_limited = true;
+  place::NodeAssignment a;
+  a.tree_node = 2;
+  a.from_block = 1;
+  a.to_block = 3;
+  a.bypass_from = 2;
+  a.on_device = {{kDevA, pinnedIntra(1)}, {kDevB, pinnedIntra(2)}};
+  a.on_bypass = {{11, pinnedIntra(3)}};
+  plan.assignments = {a};
+  plan.gain = 1.25;
+  plan.ht = 0.5;
+  plan.hr = 0.375;
+  plan.hp = 0.125;
+  plan.weights_used = {0.1, 0.2, 0.7};
+  plan.steps = 4242;  // run diagnostics, not on the wire
+  plan.elapsed_ms = 3.5;
+  return plan;
+}
+
+topo::TrafficSpec pinnedTraffic() {
+  topo::TrafficSpec t;
+  t.sources = {{3, 1.5}, {4, 2.25}};
+  t.dst_host = 9;
+  return t;
+}
+
+place::PlacementOptions pinnedOptions() {
+  place::PlacementOptions o;
+  o.weights = {0.3, 0.3, 0.4};
+  o.adaptive = false;
+  o.prune = false;
+  o.fast = false;
+  o.max_steps = 123'456'789'012L;
+  return o;
+}
+
+durable::CheckpointRecord pinnedCheckpoint() {
+  durable::CheckpointRecord cp;
+  cp.next_user = 9;
+  cp.health_version = 31;
+  cp.processed_health_version = 29;
+  cp.node_health = {0, 1, 2};
+  cp.link_health = {2, 0};
+  durable::CheckpointDevice dev;
+  dev.node = 4;
+  dev.free_stage = {pinnedDemand(100), pinnedDemand(200)};
+  dev.free_whole = pinnedDemand(300);
+  cp.devices = {dev};
+  durable::CheckpointTenant t;
+  t.user = 3;
+  t.prog = pinnedProgram();
+  t.plan = pinnedPlan();
+  t.traffic = pinnedTraffic();
+  t.options = pinnedOptions();
+  t.plan_fp = 0x0123'4567'89AB'CDEFULL;
+  cp.tenants = {t};
+  auto& node_heal = cp.deferred_heals[kHealA];
+  node_heal.kind = topo::FailureEvent::Kind::kNode;
+  node_heal.node = 4;
+  node_heal.from = topo::Health::kDown;
+  node_heal.version = 12;
+  auto& link_heal = cp.deferred_heals[kHealB];
+  link_heal.kind = topo::FailureEvent::Kind::kLink;
+  link_heal.link_a = 5;
+  link_heal.link_b = 6;
+  link_heal.from = topo::Health::kDraining;
+  link_heal.version = 13;
+  cp.last_disturb = {{kDisturbA, 11}, {kDisturbB, 12}};
+  return cp;
+}
+
+struct PinnedRecord {
+  const char* name;
+  std::vector<std::uint8_t> bytes;
+  std::vector<std::uint8_t> reencoded;  // encode(decode(bytes))
+  Pin pin;
+};
+
+std::vector<PinnedRecord> pinnedRecords() {
+  using namespace durable;
+  std::vector<PinnedRecord> out;
+  const auto add = [&out](const char* name, std::vector<std::uint8_t> bytes,
+                          auto decode, auto encode, Pin pin) {
+    auto again = encode(decode(bytes));
+    out.push_back({name, std::move(bytes), std::move(again), pin});
+  };
+
+  CommitRecord commit;
+  commit.user = 17;
+  commit.prog = pinnedProgram();
+  commit.plan = pinnedPlan();
+  commit.traffic = pinnedTraffic();
+  commit.options = pinnedOptions();
+  add("commit", encodeCommit(commit), decodeCommit, encodeCommit, kPinCommit);
+
+  AbortRecord abort_rec;
+  abort_rec.user = 18;
+  add("abort", encodeAbort(abort_rec), decodeAbort, encodeAbort, kPinAbort);
+
+  RemoveRecord remove;
+  remove.user = 19;
+  remove.lazy = false;
+  add("remove", encodeRemove(remove), decodeRemove, encodeRemove, kPinRemove);
+
+  HealthRecord health;
+  health.event.version = 77;
+  health.event.kind = topo::FailureEvent::Kind::kLink;
+  health.event.node = 4;
+  health.event.link_a = 5;
+  health.event.link_b = 6;
+  health.event.from = topo::Health::kDraining;
+  health.event.to = topo::Health::kDown;
+  add("health", encodeHealth(health), decodeHealth, encodeHealth, kPinHealth);
+
+  FailoverRecord failover;
+  failover.processed_version = 88;
+  failover.damped_events = 3;
+  failover.tenants = 2;
+  add("failover", encodeFailover(failover), decodeFailover, encodeFailover,
+      kPinFailover);
+
+  MigrateRecord migrate;
+  migrate.user = 20;
+  migrate.plan = pinnedPlan();
+  migrate.old_plan_fp = 0xFEDC'BA98'7654'3210ULL;
+  add("migrate", encodeMigrate(migrate), decodeMigrate, encodeMigrate,
+      kPinMigrate);
+
+  MigrateAbortRecord migrate_abort;
+  migrate_abort.user = 21;
+  migrate_abort.plan = pinnedPlan();
+  add("migrate_abort", encodeMigrateAbort(migrate_abort), decodeMigrateAbort,
+      encodeMigrateAbort, kPinMigrateAbort);
+
+  add("checkpoint", encodeCheckpoint(pinnedCheckpoint()), decodeCheckpoint,
+      encodeCheckpoint, kPinCheckpoint);
+  return out;
+}
+
+TEST(Serialize, EveryRecordTypeHasPinnedBytes) {
+  const auto records = pinnedRecords();
+  ASSERT_EQ(records.size(), 8u);
+  for (const auto& rec : records) {
+    SCOPED_TRACE(rec.name);
+    EXPECT_EQ(rec.bytes.size(), rec.pin.size);
+    EXPECT_EQ(crc32(rec.bytes), rec.pin.crc)
+        << std::hex << "0x" << crc32(rec.bytes);
+  }
+}
+
+TEST(Serialize, DecodeThenEncodeReproducesTheBytes) {
+  for (const auto& rec : pinnedRecords()) {
+    SCOPED_TRACE(rec.name);
+    EXPECT_EQ(rec.reencoded, rec.bytes);
+  }
+}
+
+// Rewrites the single little-endian occurrence of `from` in `bytes` to `to`.
+template <class T>
+void patchUnique(std::vector<std::uint8_t>& bytes, T from, T to) {
+  const auto le = [](T v) {
+    std::vector<std::uint8_t> out(sizeof(T));
+    for (std::size_t i = 0; i < sizeof(T); ++i) {
+      out[i] = static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >>
+                                         (8 * i));
+    }
+    return out;
+  };
+  const auto f = le(from);
+  const auto t = le(to);
+  const auto at = std::search(bytes.begin(), bytes.end(), f.begin(), f.end());
+  ASSERT_NE(at, bytes.end());
+  ASSERT_EQ(std::search(at + 1, bytes.end(), f.begin(), f.end()), bytes.end());
+  std::copy(t.begin(), t.end(), at);
+}
+
+// A crafted payload may repeat a map key. Intra-device maps and deferred
+// heals keep the first entry; last_disturb keeps the last.
+TEST(Serialize, DuplicateMapKeysKeepTheDocumentedEntry) {
+  durable::MigrateAbortRecord ma;
+  ma.user = 1;
+  ma.plan = pinnedPlan();
+  auto plan_bytes = durable::encodeMigrateAbort(ma);
+  patchUnique(plan_bytes, kDevB, kDevA);
+  const auto on_device =
+      durable::decodeMigrateAbort(plan_bytes).plan.assignments.at(0).on_device;
+  ASSERT_EQ(on_device.size(), 1u);
+  EXPECT_EQ(on_device.at(kDevA).why, pinnedIntra(1).why);
+
+  auto cp_bytes = durable::encodeCheckpoint(pinnedCheckpoint());
+  patchUnique(cp_bytes, kHealB, kHealA);
+  patchUnique(cp_bytes, kDisturbB, kDisturbA);
+  const auto cp = durable::decodeCheckpoint(cp_bytes);
+  ASSERT_EQ(cp.deferred_heals.size(), 1u);
+  EXPECT_EQ(cp.deferred_heals.at(kHealA).kind,
+            topo::FailureEvent::Kind::kNode);
+  EXPECT_EQ(cp.deferred_heals.at(kHealA).version, 12u);
+  ASSERT_EQ(cp.last_disturb.size(), 1u);
+  EXPECT_EQ(cp.last_disturb.at(kDisturbA), 12u);
 }
 
 // --- crash-point fuzzer --------------------------------------------------
